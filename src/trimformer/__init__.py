@@ -42,8 +42,6 @@ from .importance import (
 )
 from .checkpoint import load_checkpoint, save_checkpoint
 from .model import (
-    ActivationRecord,
-    CaptureSpec,
     Model,
     ModelConfig,
     build_model,

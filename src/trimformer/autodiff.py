@@ -171,6 +171,10 @@ class Tape:
                 else:
                     inp.grad += g
         self.consumed = True
+        # Each output holds its node and each node its output; break the
+        # cycle so the graph is freed now rather than by the cycle collector.
+        for node in self.nodes:
+            node.out._node = None
         self.nodes.clear()
 
 
@@ -195,7 +199,10 @@ def backward(loss: Tensor) -> None:
     """
     node = loss._node
     if node is None:
-        raise TapeError("backward called on a tensor produced without an active tape")
+        raise TapeError(
+            "backward called on a tensor with no recorded graph: it was produced "
+            "without an active tape, or its tape was consumed"
+        )
     node.tape._backward(loss)
 
 

@@ -23,7 +23,7 @@ import struct
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 from .model import Model, ModelConfig, _layer_param_shapes
 
 MAGIC = b"MTRF"
@@ -83,7 +83,7 @@ def load_checkpoint(path: str) -> Model:
         header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
         config = ModelConfig.from_dict(header["config"])
         directory = header["tensors"]
-    except (ValueError, KeyError, TypeError) as e:
+    except (ValueError, KeyError, TypeError, ConfigError) as e:
         raise CheckpointError(f"unparseable header: {e}", field="header") from e
     payload = raw[16 + header_len :]
 

@@ -1,11 +1,22 @@
 """Command-line surface: train | importance | prune | search | distill | eval.
 
 Every command takes JSON config files plus flag overrides, runs seeded and
-deterministic, writes artifacts atomically, and exits 0 on success. Failures
-print a single structured JSON error line to stderr and exit nonzero.
+deterministic, writes artifacts atomically, and exits 0 on success. A
+failure raises a typed ``TrimformerError`` (or ``OSError``), printed as one
+JSON error line on stderr, and exits 1.
 
-Metrics stream as JSON lines (one record per training step); see README for
-the pipeline recipe.
+Metrics stream as JSON lines (one record per training step). The pipeline,
+from a text corpus (documents separated by blank lines)::
+
+    trimformer train --config exp.json --data corpus.txt --out model.ckpt
+    trimformer importance --ckpt model.ckpt --data corpus.txt --out report.json
+    trimformer search --space space.json --budget 2e6 --tolerance 0.05 --out cands.json
+    trimformer distill --teacher model.ckpt --candidates cands.json --report report.json --data corpus.txt --out student.ckpt
+    trimformer eval --ckpt student.ckpt --data corpus.txt
+
+``exp.json`` holds a ``model`` section (:class:`ModelConfig` fields) and
+optional ``train`` and ``distill`` sections; ``space.json`` holds a
+:class:`SearchSpace`.
 """
 
 from __future__ import annotations
@@ -30,7 +41,20 @@ TRAIN_DEFAULTS = {"steps": 200, "batch_size": 8, "seq_len": 32, "lr_max": 1e-3, 
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+        try:
+            d = json.load(f)
+        except ValueError as e:
+            raise ConfigError(f"{path} is not valid JSON: {e}") from e
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path} must hold a JSON object")
+    return d
+
+
+def _int_list(text: str, sep: str, flag: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(sep)]
+    except ValueError:
+        raise ConfigError(f"{flag} takes integers separated by {sep!r}, got {text!r}") from None
 
 
 def _load_dataset(path: str, seed: int) -> TokenDataset:
@@ -39,9 +63,19 @@ def _load_dataset(path: str, seed: int) -> TokenDataset:
     return TokenDataset.load(path)
 
 
+def _section(config: dict, name: str) -> dict:
+    section = config.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {name!r} must be a JSON object")
+    return section
+
+
 def _train_params(config: dict, args) -> dict:
-    params = dict(TRAIN_DEFAULTS)
-    params.update(config.get("train", {}))
+    train = _section(config, "train")
+    unknown = set(train) - set(TRAIN_DEFAULTS)
+    if unknown:
+        raise ConfigError(f"unknown train keys {sorted(unknown)}; use {sorted(TRAIN_DEFAULTS)}")
+    params = {**TRAIN_DEFAULTS, **train}
     for name in params:
         override = getattr(args, name, None)
         if override is not None:
@@ -57,9 +91,11 @@ def _eval_batch(dataset: TokenDataset, args) -> np.ndarray:
 
 def cmd_train(args) -> int:
     config = _load_json(args.config)
+    if "model" not in config:
+        raise ConfigError(f"{args.config} has no 'model' section")
     model_cfg = ModelConfig.from_dict(config["model"])
-    data = _load_dataset(args.data, args.seed)
     params = _train_params(config, args)
+    data = _load_dataset(args.data, args.seed)
     model = build_model(model_cfg, seed=args.seed)
     eval_data = None
     if args.eval_every:
@@ -92,14 +128,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_importance(args) -> int:
+    spec = AggregationSpec(batch_fn=args.batch_agg, seq_fn=args.seq_agg)
+    blocks = [_int_list(item, ":", "--block-bi") for item in args.block_bi or []]
+    if any(len(b) != 2 for b in blocks):
+        raise ConfigError(f"--block-bi takes start:length, got {args.block_bi}")
     model = load_checkpoint(args.ckpt)
     data = _load_dataset(args.data, args.seed)
     calib = sample_calibration(data, args.samples, args.seq_len, args.seed, split=args.split)
-    spec = AggregationSpec(batch_fn=args.batch_agg, seq_fn=args.seq_agg)
-    blocks = []
-    for item in args.block_bi or []:
-        start, length = item.split(":")
-        blocks.append((int(start), int(length)))
     report = compute_importance_report(
         model, calib, spec, include_ppl=not args.skip_ppl, blocks=blocks
     )
@@ -141,7 +176,7 @@ def cmd_prune(args) -> int:
     target = _target_config(args)
     layers = None
     if args.remove_layers:
-        layers = [int(i) for i in args.remove_layers.split(",")]
+        layers = _int_list(args.remove_layers, ",", "--remove-layers")
     pruned = apply_candidate(
         model,
         target,
@@ -203,7 +238,7 @@ def cmd_distill(args) -> int:
     else:
         raise ConfigError("distill needs --student or --candidates")
 
-    distill_dict = dict(config.get("distill", {}))
+    distill_dict = dict(_section(config, "distill"))
     cfg = DistillConfig.from_dict(distill_dict) if distill_dict else DistillConfig()
     depth_cut = 1.0 - student.config.num_layers / teacher.config.num_layers
     if "is_components" not in distill_dict and depth_cut > 0.25:

@@ -37,6 +37,11 @@ class TokenDataset:
             raise DataError("empty token dataset")
         if ids.max() >= vocab_size:
             raise DataError(f"token id {ids.max()} >= vocab size {vocab_size}")
+        for d in documents:
+            if not 0 <= d.start <= d.end <= ids.size:
+                raise DataError(
+                    f"document span [{d.start}, {d.end}) outside 0..{ids.size} or inverted"
+                )
         self.ids = ids
         self.vocab_size = vocab_size
         self.documents = documents
@@ -79,9 +84,12 @@ class TokenDataset:
         with open(path, "rb") as f:
             ids = np.frombuffer(f.read(), dtype="<u4")
         with open(path + ".json", "r", encoding="utf-8") as f:
-            manifest = json.load(f)
-        docs = [DocSpan(d["start"], d["end"], d["split"]) for d in manifest["documents"]]
-        return cls(ids, manifest["vocab_size"], docs)
+            try:
+                manifest = json.load(f)
+                docs = [DocSpan(d["start"], d["end"], d["split"]) for d in manifest["documents"]]
+                return cls(ids, manifest["vocab_size"], docs)
+            except (ValueError, KeyError, TypeError) as e:
+                raise DataError(f"malformed dataset manifest {path}.json: {e!r}") from e
 
 
 def _doc_split(doc_index: int, seed: int, val_fraction: float) -> str:

@@ -21,7 +21,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import TokenDataset, sample_batch
 from .errors import ConfigError, DataError, DivergenceError, ShapeError
-from .model import CaptureSpec, Model, forward, lm_loss, slice_positions
+from .model import Model, forward, lm_loss, slice_positions
 
 LOGIT_LOSSES = ("kld", "rkld", "mse", "cosine")
 IS_LOSSES = ("cosine", "mse")
@@ -79,7 +79,10 @@ class DistillConfig:
             d["layer_map"] = tuple(tuple(p) for p in d["layer_map"])
         if "is_components" in d:
             d["is_components"] = tuple(d["is_components"])
-        return cls(**d)
+        try:
+            return cls(**d)
+        except TypeError as e:  # unknown or mistyped keys
+            raise ConfigError(f"bad distill config: {e}") from e
 
 
 def default_layer_map(teacher_layers: int, student_layers: int) -> tuple[tuple[int, int], ...]:
@@ -223,50 +226,40 @@ def _relation_kld(teacher_states: np.ndarray, student_states, d_head: int) -> Te
 
 
 def intermediate_loss(
-    teacher_record, student_record, projection: SharedProjection, cfg: DistillConfig,
-    d_head: int,
+    teacher_acts: dict, student_acts: dict, projection: SharedProjection,
+    cfg: DistillConfig, d_head: int,
 ) -> Tensor:
     """Sum of the chosen component losses over all mapped layer pairs.
 
-    emb: embedding-layer outputs. o: block outputs at their next norm site.
-    i: MLP inputs (post norm). att: query/key/value self-relation maps,
-    always compared with row-wise KL regardless of ``is_loss_fn``.
+    Reads the activation maps of :func:`~trimformer.model.forward`.
+    emb: embedding-layer outputs ``("x", 0)``. o: block ``i``'s output at
+    its next norm site ``("ln1", i + 1)``. i: MLP inputs ``("ln2", i)``.
+    att: query/key/value self-relation maps ``("qkv", i)``, always compared
+    with row-wise KL regardless of ``is_loss_fn``.
     """
     terms: list[Tensor] = []
 
-    def check(cond, what):
-        if not cond:
+    def pair(site, t_layer, s_layer, what):
+        t_key, s_key = (site, t_layer), (site, s_layer)
+        if t_key not in teacher_acts or s_key not in student_acts:
             raise DataError(f"capture missing states for component {what!r}")
+        return teacher_acts[t_key], student_acts[s_key]
+
+    def state_term(t_state, s_state):
+        return _state_loss(t_state.data, projection.apply(s_state), cfg.is_loss_fn)
 
     if "emb" in cfg.is_components:
-        check(teacher_record.embedding_out is not None, "emb")
-        check(student_record.embedding_out is not None, "emb")
-        proj = projection.apply(student_record.embedding_out)
-        terms.append(_state_loss(teacher_record.embedding_out.data, proj, cfg.is_loss_fn))
+        terms.append(state_term(*pair("x", 0, 0, "emb")))
     mapped = [c for c in ("o", "i", "att") if c in cfg.is_components]
     if mapped and not cfg.layer_map:
         raise ConfigError(f"components {mapped} need a teacher:student layer_map")
     for t_idx, s_idx in cfg.layer_map:
         if "o" in cfg.is_components:
-            t_state = teacher_record.block_output_post_ln(t_idx)
-            s_state = student_record.block_output_post_ln(s_idx)
-            terms.append(
-                _state_loss(t_state.data, projection.apply(s_state), cfg.is_loss_fn)
-            )
+            terms.append(state_term(*pair("ln1", t_idx + 1, s_idx + 1, "o")))
         if "i" in cfg.is_components:
-            check(t_idx in teacher_record.ln2 and s_idx in student_record.ln2, "i")
-            terms.append(
-                _state_loss(
-                    teacher_record.ln2[t_idx].data,
-                    projection.apply(student_record.ln2[s_idx]),
-                    cfg.is_loss_fn,
-                )
-            )
+            terms.append(state_term(*pair("ln2", t_idx, s_idx, "i")))
         if "att" in cfg.is_components:
-            check(t_idx in teacher_record.qkv and s_idx in student_record.qkv, "att")
-            for t_states, s_states in zip(
-                teacher_record.qkv[t_idx], student_record.qkv[s_idx]
-            ):
+            for t_states, s_states in zip(*pair("qkv", t_idx, s_idx, "att")):
                 terms.append(_relation_kld(t_states.data, s_states, d_head))
     if not terms:
         raise ConfigError("intermediate_loss called with no components selected")
@@ -276,22 +269,19 @@ def intermediate_loss(
     return total
 
 
-def _capture_for(cfg: DistillConfig, side: str, num_layers: int) -> CaptureSpec | None:
-    if not cfg.is_components:
+def _capture_for(cfg: DistillConfig, col: int):
+    """Tap keeping the sites :func:`intermediate_loss` reads on one side of
+    the layer map (``col`` 0 is the teacher, 1 the student)."""
+    comps = cfg.is_components
+    wanted = {("x", 0)} if "emb" in comps else set()
+    for pair in cfg.layer_map:
+        i = pair[col]
+        sites = {"o": ("ln1", i + 1), "i": ("ln2", i), "att": ("qkv", i)}
+        wanted |= {key for comp, key in sites.items() if comp in comps}
+    if not wanted:
         return None
-    col = 0 if side == "teacher" else 1
-    mapped = frozenset(p[col] for p in cfg.layer_map)
-    want_o = "o" in cfg.is_components
-    # o-states live at the *next* block's first norm (or the final norm).
-    ln1_layers = frozenset(i + 1 for i in mapped) | mapped if want_o else mapped
-    return CaptureSpec(
-        embedding_out="emb" in cfg.is_components,
-        ln1=want_o,
-        ln2="i" in cfg.is_components,
-        qkv="att" in cfg.is_components,
-        final_ln=want_o,
-        layers=frozenset(range(num_layers)) if not mapped else ln1_layers,
-    )
+    wanted = frozenset(wanted)
+    return lambda site, layer, value: value if (site, layer) in wanted else None
 
 
 def total_loss(
@@ -309,15 +299,11 @@ def total_loss(
     as a constant; ``alpha_override`` pins it (used by gradient checks).
     """
     needs_teacher = cfg.logit_loss is not None or bool(cfg.is_components)
-    t_logits = t_record = None
+    t_logits = t_acts = None
     if needs_teacher:
         with ad.no_grad():
-            t_logits, t_record = forward(
-                teacher, batch, capture=_capture_for(cfg, "teacher", teacher.config.num_layers)
-            )
-    s_logits, s_record = forward(
-        student, batch, capture=_capture_for(cfg, "student", student.config.num_layers)
-    )
+            t_logits, t_acts = forward(teacher, batch, tap=_capture_for(cfg, 0))
+    s_logits, s_acts = forward(student, batch, tap=_capture_for(cfg, 1))
 
     zero = Tensor._wrap(np.zeros((), dtype=student.dtype))
     components: dict[str, float] = {}
@@ -337,7 +323,7 @@ def total_loss(
     if cfg.is_components:
         if projection is None:
             raise ConfigError("intermediate components need a SharedProjection")
-        l_is = intermediate_loss(t_record, s_record, projection, cfg, student.config.d_head)
+        l_is = intermediate_loss(t_acts, s_acts, projection, cfg, student.config.d_head)
         if alpha_override is not None:
             alpha = alpha_override
         elif cfg.alpha_mode == "constant":

@@ -3,8 +3,10 @@
 Width axes (attention heads, MLP neurons, embedding channels) are scored
 from activations captured on a calibration batch; depth is scored either by
 the perplexity of the model with one block removed or by block influence
-(one minus the expected input/output cosine similarity). No API here ever
-records onto a gradient tape — callers inside a tape context get an error.
+(one minus the expected input/output cosine similarity). A report takes the
+width axes and every block influence from one streamed forward pass, plus
+the perplexity sweep. No API here ever records onto a gradient tape —
+callers inside a tape context get an error.
 
 Per-head and per-neuron scores are ranked within their own layer; embedding
 channel scores are aggregated per LayerNorm site and then summed across all
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, DataError, PruneError
-from .model import CaptureSpec, Model, forward, perplexity
+from .model import Model, forward, perplexity
 
 _AGG_ALIASES = {"mean": "mean_abs", "var": "variance", "l2": "l2"}
 _AGG_NAMES = ("mean_abs", "l2", "variance")
@@ -71,14 +73,6 @@ def aggregate(scores: np.ndarray, spec: AggregationSpec) -> float:
     return float(_apply_agg(spec.batch_fn, per_sample, axis=0))
 
 
-def _aggregate_channels(values: np.ndarray, spec: AggregationSpec) -> np.ndarray:
-    """Vectorized :func:`aggregate` over the trailing channel axis of
-    ``[batch, seq, channels]``."""
-    values = values.astype(np.float64)
-    per_sample = _apply_agg(spec.seq_fn, values, axis=1)  # [B, C]
-    return _apply_agg(spec.batch_fn, per_sample, axis=0)  # [C]
-
-
 def _require_no_tape(op: str) -> None:
     if ad.active_tape() is not None:
         raise ConfigError(
@@ -86,17 +80,84 @@ def _require_no_tape(op: str) -> None:
         )
 
 
-def _captured_forward(model: Model, calib: np.ndarray, capture: CaptureSpec, chunk=32):
-    """Run the calibration set through the model in chunks, concatenating
-    captured arrays along the batch axis."""
+def _cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    a = a.reshape(-1, a.shape[-1]).astype(np.float64)
+    b = b.reshape(-1, b.shape[-1]).astype(np.float64)
+    num = (a * b).sum(axis=-1)
+    den = np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1)
+    return num / np.maximum(den, np.finfo(np.float64).tiny)
+
+
+def _calibration_pass(
+    model: Model, calib: np.ndarray, sites=(), spec: AggregationSpec | None = None,
+    pairs=(), chunk=32,
+) -> dict:
+    """One chunked forward pass over the calibration set.
+
+    Each width site in ``sites`` is reduced as it is produced to per-sample
+    ``[B, C]`` sequence aggregates under ``spec.seq_fn`` (heads first take
+    the per-token L2 over ``d_head``); after the last chunk ``spec.batch_fn``
+    collapses the samples, giving ``{(site, layer): [C]}``. Block inputs are
+    held raw only within a chunk, for the per-token cosines behind the block
+    influence ``{("bi", a, b): 1 - E[cos(X_a, X_b)]}`` of each pair in
+    ``pairs``.
+    """
     calib = np.asarray(calib)
     if calib.ndim != 2 or calib.shape[0] == 0:
         raise DataError("calibration set must be a non-empty [n, seq] token array")
-    records = []
+    pairs = set(pairs)
+    blocks = {i for pair in pairs for i in pair}
+
+    def tap(site, layer, value):
+        if site == "x":
+            return value.data if layer in blocks else None
+        if site not in sites:
+            return None
+        # astype keeps the memory order (head-major for "attn"), which fixes
+        # the summation order of the reductions below.
+        values = value.data.astype(np.float64)
+        if site == "attn":
+            values = np.sqrt((values**2).sum(axis=-1))  # [B,S,H]
+        return _apply_agg(spec.seq_fn, values, axis=1)
+
+    parts: dict = {}
     for i in range(0, calib.shape[0], chunk):
-        _, rec = forward(model, calib[i : i + chunk], capture=capture)
-        records.append(rec)
-    return records
+        _, acts = forward(model, calib[i : i + chunk], tap=tap)
+        for a, b in pairs:
+            acts[("bi", a, b)] = _cosine_rows(acts[("x", a)], acts[("x", b)])
+        for key, value in acts.items():
+            if key[0] != "x":
+                parts.setdefault(key, []).append(value)
+    scores = {}
+    for key, chunks in parts.items():
+        values = np.concatenate(chunks)
+        if key[0] == "bi":
+            scores[key] = float(1.0 - values.mean())
+        else:
+            scores[key] = _apply_agg(spec.batch_fn, values, axis=0)
+    return scores
+
+
+def _per_layer(scores, site: str, num_layers: int, width: int) -> np.ndarray:
+    out = np.zeros((num_layers, width))
+    for i in range(num_layers):
+        out[i] = scores[(site, i)]
+    return out
+
+
+def _emb_total(scores, num_layers: int, width: int) -> np.ndarray:
+    # Summed in network order: each block's two norms, then the final norm.
+    total = np.zeros(width)
+    for i in range(num_layers):
+        total += scores[("ln1", i)]
+        total += scores[("ln2", i)]
+    total += scores[("ln1", num_layers)]
+    return total
+
+
+def _check_block(n: int, start: int, length: int) -> None:
+    if length < 1 or start < 0 or start + length > n:
+        raise PruneError(f"block ({start}, {length}) out of range for {n} layers")
 
 
 def head_importance(
@@ -105,14 +166,9 @@ def head_importance(
     """Per-token L2 norm of each head's output vector (before the output
     projection), aggregated to ``[layer, head]`` scores."""
     _require_no_tape("head_importance")
-    records = _captured_forward(model, calib, CaptureSpec(attn_head_out=True))
-    layers, heads = model.config.num_layers, model.config.num_heads
-    scores = np.zeros((layers, heads))
-    for layer in range(layers):
-        out = np.concatenate([r.attn_head_out[layer].data for r in records])
-        norms = np.sqrt((out.astype(np.float64) ** 2).sum(axis=-1))  # [B,S,H]
-        scores[layer] = _aggregate_channels(norms, spec)
-    return scores
+    cfg = model.config
+    scores = _calibration_pass(model, calib, {"attn"}, spec)
+    return _per_layer(scores, "attn", cfg.num_layers, cfg.num_heads)
 
 
 def neuron_importance(
@@ -120,13 +176,9 @@ def neuron_importance(
 ) -> np.ndarray:
     """Pre-activation of each MLP hidden channel, aggregated per layer."""
     _require_no_tape("neuron_importance")
-    records = _captured_forward(model, calib, CaptureSpec(mlp_pre=True))
-    layers = model.config.num_layers
-    scores = np.zeros((layers, model.config.d_hidden))
-    for layer in range(layers):
-        pre = np.concatenate([r.mlp_pre[layer].data for r in records])
-        scores[layer] = _aggregate_channels(pre, spec)
-    return scores
+    cfg = model.config
+    scores = _calibration_pass(model, calib, {"mlp_pre"}, spec)
+    return _per_layer(scores, "mlp_pre", cfg.num_layers, cfg.d_hidden)
 
 
 def emb_importance(
@@ -135,19 +187,9 @@ def emb_importance(
     """Per-channel score of every LayerNorm output, aggregated per site and
     summed over all sites (both block norms plus the final norm)."""
     _require_no_tape("emb_importance")
-    records = _captured_forward(
-        model, calib, CaptureSpec(ln1=True, ln2=True, final_ln=True)
-    )
-    total = np.zeros(model.config.d_model)
-    for layer in range(model.config.num_layers):
-        for field in ("ln1", "ln2"):
-            states = np.concatenate(
-                [getattr(r, field)[layer].data for r in records]
-            )
-            total += _aggregate_channels(states, spec)
-    final = np.concatenate([r.final_ln.data for r in records])
-    total += _aggregate_channels(final, spec)
-    return total
+    cfg = model.config
+    scores = _calibration_pass(model, calib, {"ln1", "ln2"}, spec)
+    return _emb_total(scores, cfg.num_layers, cfg.d_model)
 
 
 def layer_importance_ppl(model: Model, calib: np.ndarray) -> np.ndarray:
@@ -164,44 +206,21 @@ def layer_importance_ppl(model: Model, calib: np.ndarray) -> np.ndarray:
     )
 
 
-def _cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = a.reshape(-1, a.shape[-1]).astype(np.float64)
-    b = b.reshape(-1, b.shape[-1]).astype(np.float64)
-    num = (a * b).sum(axis=-1)
-    den = np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1)
-    return num / np.maximum(den, np.finfo(np.float64).tiny)
-
-
 def layer_importance_bi(model: Model, calib: np.ndarray) -> np.ndarray:
     """Block influence: 1 - E[cos(X_i, X_{i+1})] over all (sample, token)
     rows. All layers come from a single forward pass."""
     _require_no_tape("layer_importance_bi")
-    records = _captured_forward(model, calib, CaptureSpec(block_inputs=True))
-    layers = model.config.num_layers
-    scores = np.zeros(layers)
-    for i in range(layers):
-        cos = np.concatenate(
-            [_cosine_rows(r.block_inputs[i].data, r.block_inputs[i + 1].data)
-             for r in records]
-        )
-        scores[i] = 1.0 - cos.mean()
-    return scores
+    pairs = [(i, i + 1) for i in range(model.config.num_layers)]
+    scores = _calibration_pass(model, calib, pairs=pairs)
+    return np.array([scores[("bi", *p)] for p in pairs])
 
 
 def block_bi(model: Model, calib: np.ndarray, start: int, length: int) -> float:
     """Block influence of ``length`` contiguous blocks starting at ``start``."""
     _require_no_tape("block_bi")
-    n = model.config.num_layers
-    if length < 1 or start < 0 or start + length > n:
-        raise PruneError(
-            f"block ({start}, {length}) out of range for {n} layers"
-        )
-    records = _captured_forward(model, calib, CaptureSpec(block_inputs=True))
-    cos = np.concatenate(
-        [_cosine_rows(r.block_inputs[start].data, r.block_inputs[start + length].data)
-         for r in records]
-    )
-    return float(1.0 - cos.mean())
+    _check_block(model.config.num_layers, start, length)
+    scores = _calibration_pass(model, calib, pairs=[(start, start + length)])
+    return scores[("bi", start, start + length)]
 
 
 @dataclass
@@ -268,23 +287,26 @@ class ImportanceReport:
 
     @classmethod
     def from_json(cls, text: str) -> "ImportanceReport":
-        d = json.loads(text)
-        return cls(
-            head_scores=np.array(d["head_scores"]),
-            neuron_scores=np.array(d["neuron_scores"]),
-            emb_scores=np.array(d["emb_scores"]),
-            layer_scores_ppl=(
-                None if d["layer_scores_ppl"] is None else np.array(d["layer_scores_ppl"])
-            ),
-            layer_scores_bi=(
-                None if d["layer_scores_bi"] is None else np.array(d["layer_scores_bi"])
-            ),
-            block_bi_scores={
-                (e["start"], e["length"]): e["score"] for e in d.get("block_bi", [])
-            },
-            agg=AggregationSpec.from_dict(d["aggregation"]),
-            calibration_checksum=d["calibration_checksum"],
-        )
+        try:
+            d = json.loads(text)
+            return cls(
+                head_scores=np.array(d["head_scores"]),
+                neuron_scores=np.array(d["neuron_scores"]),
+                emb_scores=np.array(d["emb_scores"]),
+                layer_scores_ppl=(
+                    None if d["layer_scores_ppl"] is None else np.array(d["layer_scores_ppl"])
+                ),
+                layer_scores_bi=(
+                    None if d["layer_scores_bi"] is None else np.array(d["layer_scores_bi"])
+                ),
+                block_bi_scores={
+                    (e["start"], e["length"]): e["score"] for e in d.get("block_bi", [])
+                },
+                agg=AggregationSpec.from_dict(d["aggregation"]),
+                calibration_checksum=d["calibration_checksum"],
+            )
+        except (ValueError, KeyError, TypeError, AttributeError) as e:
+            raise DataError(f"malformed importance report: {e!r}") from e
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as f:
@@ -308,18 +330,29 @@ def compute_importance_report(
     include_bi: bool = True,
     blocks: list[tuple[int, int]] | None = None,
 ) -> ImportanceReport:
-    """Score every axis in one go. The per-layer perplexity sweep dominates
-    the cost; disable it when only width axes are needed."""
+    """Score every axis from one captured pass over the calibration set,
+    plus the per-layer perplexity sweep, which dominates the cost; disable
+    it when only width axes are needed."""
+    _require_no_tape("compute_importance_report")
     spec = spec or AggregationSpec()
+    cfg = model.config
+    blocks = [(start, length) for start, length in blocks or []]
+    for start, length in blocks:
+        _check_block(cfg.num_layers, start, length)
+    adjacent = [(i, i + 1) for i in range(cfg.num_layers)] if include_bi else []
+    block_pairs = [(s, s + ln) for s, ln in blocks]
+    scores = _calibration_pass(
+        model, calib, {"attn", "mlp_pre", "ln1", "ln2"}, spec, adjacent + block_pairs
+    )
     return ImportanceReport(
-        head_scores=head_importance(model, calib, spec),
-        neuron_scores=neuron_importance(model, calib, spec),
-        emb_scores=emb_importance(model, calib, spec),
+        head_scores=_per_layer(scores, "attn", cfg.num_layers, cfg.num_heads),
+        neuron_scores=_per_layer(scores, "mlp_pre", cfg.num_layers, cfg.d_hidden),
+        emb_scores=_emb_total(scores, cfg.num_layers, cfg.d_model),
         layer_scores_ppl=layer_importance_ppl(model, calib) if include_ppl else None,
-        layer_scores_bi=layer_importance_bi(model, calib) if include_bi else None,
-        block_bi_scores={
-            (s, ln): block_bi(model, calib, s, ln) for (s, ln) in (blocks or [])
-        },
+        layer_scores_bi=(
+            np.array([scores[("bi", *p)] for p in adjacent]) if include_bi else None
+        ),
+        block_bi_scores={b: scores[("bi", *p)] for b, p in zip(blocks, block_pairs)},
         agg=spec,
         calibration_checksum=calibration_checksum(calib),
     )

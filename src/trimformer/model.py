@@ -3,14 +3,26 @@
 Pre-norm residual blocks, squared-ReLU MLP, rotary positions, untied
 embeddings by default. Head width ``d_head`` is a free hyperparameter, so
 the attention inner width is ``num_heads * d_head`` and never follows
-``d_model``. Forward passes can capture intermediate activations for
-importance scoring and distillation without creating gradient state.
+``d_model``.
+
+Importance scoring and distillation read intermediate activations through
+one hook: ``forward(..., tap=fn)`` calls ``fn(site, layer, value)`` at each
+site below and keeps every non-None result under ``(site, layer)``. A tap
+adds no gradient state of its own. For ``L`` layers:
+
+- ``x`` (layers 0..L): block inputs; ``("x", 0)`` is the embedding output
+  and ``("x", L)`` the last block's output.
+- ``ln1`` (layers 0..L): first norm outputs; ``("ln1", L)`` is the final
+  norm, so block ``i``'s normalized output is always ``("ln1", i + 1)``.
+- ``ln2``, ``qkv``, ``attn``, ``mlp_pre`` (layers 0..L-1): the MLP input
+  norm, rotary ``(q, k, v)``, per-head attention output and MLP
+  pre-activation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -62,7 +74,10 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
+        try:
+            return cls(**d)
+        except TypeError as e:  # unknown, missing or mistyped keys
+            raise ConfigError(f"bad model config: {e}") from e
 
     def with_(self, **kw) -> "ModelConfig":
         return replace(self, **kw)
@@ -104,62 +119,6 @@ def count_params(config: ModelConfig) -> ParamCounts:
 def count_flops_per_step(config: ModelConfig, batch_size: int, seq_len: int) -> float:
     """Training-step FLOP estimate via the standard 6 * params * tokens rule."""
     return 6.0 * count_params(config).total * batch_size * seq_len
-
-
-@dataclass(frozen=True)
-class CaptureSpec:
-    """Which activations :func:`forward` should record.
-
-    ``layers`` restricts per-layer captures to a subset of block indices
-    (``None`` means all). ``block_inputs`` additionally records the final
-    block output, so the list has ``num_layers + 1`` entries.
-    """
-
-    attn_head_out: bool = False
-    qkv: bool = False
-    mlp_pre: bool = False
-    mlp_post: bool = False
-    ln1: bool = False
-    ln2: bool = False
-    block_inputs: bool = False
-    embedding_out: bool = False
-    final_ln: bool = False
-    layers: frozenset | None = None
-
-    def wants(self, layer: int) -> bool:
-        return self.layers is None or layer in self.layers
-
-
-@dataclass
-class ActivationRecord:
-    """Per-layer activations captured by one forward pass.
-
-    Values are live :class:`Tensor` objects; under an active tape they stay
-    differentiable, otherwise they are plain value holders.
-    """
-
-    num_layers: int
-    logits: Tensor | None = None
-    attn_head_out: dict = field(default_factory=dict)  # layer -> [B,S,H,Dh]
-    qkv: dict = field(default_factory=dict)  # layer -> (q, k, v) head-major
-    mlp_pre: dict = field(default_factory=dict)  # layer -> [B,S,d_hidden]
-    mlp_post: dict = field(default_factory=dict)
-    ln1: dict = field(default_factory=dict)  # layer -> [B,S,d_model]
-    ln2: dict = field(default_factory=dict)
-    block_inputs: list = field(default_factory=list)  # X_0 .. X_num_layers
-    embedding_out: Tensor | None = None
-    final_ln: Tensor | None = None
-
-    def block_output_post_ln(self, layer: int) -> Tensor:
-        """Block output as the network normalizes it: the next block's first
-        norm, or the final norm for the last block."""
-        if layer + 1 < self.num_layers:
-            if layer + 1 not in self.ln1:
-                raise DataError(f"capture missing ln1 output for layer {layer + 1}")
-            return self.ln1[layer + 1]
-        if self.final_ln is None:
-            raise DataError("capture missing final layer-norm output")
-        return self.final_ln
 
 
 class Model:
@@ -264,7 +223,7 @@ def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> Model:
     return Model(config, params)
 
 
-def _attention(model: Model, x: Tensor, layer: int, record, capture):
+def _attention(model: Model, x: Tensor, layer: int, emit):
     cfg = model.config
     b, s, _ = x.shape
     h, g, dh = cfg.num_heads, cfg.num_query_groups, cfg.d_head
@@ -278,8 +237,7 @@ def _attention(model: Model, x: Tensor, layer: int, record, capture):
     q = ad.rope(project(model.layer_param(layer, "attn.wq"), h), cos, sin)
     k = ad.rope(project(model.layer_param(layer, "attn.wk"), g), cos, sin)
     v = project(model.layer_param(layer, "attn.wv"), g)
-    if capture and capture.qkv and capture.wants(layer):
-        record.qkv[layer] = (q, k, v)
+    emit("qkv", layer, (q, k, v))
     if g != h:
         k = ad.repeat(k, h // g, axis=1)
         v = ad.repeat(v, h // g, axis=1)
@@ -287,8 +245,7 @@ def _attention(model: Model, x: Tensor, layer: int, record, capture):
     scores = ad.add(scores, model.causal_mask(s))
     attn = ad.matmul(ad.softmax(scores), v)
     attn = ad.transpose(attn, (0, 2, 1, 3))  # back to [B,S,H,Dh]
-    if capture and capture.attn_head_out and capture.wants(layer):
-        record.attn_head_out[layer] = attn
+    emit("attn", layer, attn)
     concat = ad.reshape(attn, (b, s, h * dh))
     return ad.matmul(concat, model.layer_param(layer, "attn.wo"))
 
@@ -296,14 +253,37 @@ def _attention(model: Model, x: Tensor, layer: int, record, capture):
 def forward(
     model: Model,
     tokens: np.ndarray,
-    capture: CaptureSpec | None = None,
     skip_layers: frozenset | set = frozenset(),
+    tap=None,
 ):
     """Causal forward pass.
 
-    Returns ``(logits, record)``; ``record`` is ``None`` unless ``capture``
-    is given. ``skip_layers`` omits whole blocks, which by the pre-norm
-    residual topology equals evaluating the depth-pruned model.
+    Returns ``(logits, acts)``. ``skip_layers`` omits whole blocks, which by
+    the pre-norm residual topology equals evaluating the depth-pruned model.
+
+    At every activation site the pass calls ``tap(site, layer, value)`` and
+    stores any non-None result in ``acts[(site, layer)]``; without a tap
+    ``acts`` is ``{}``. Values are live tensors (differentiable under an
+    active tape). The sites, for ``L`` layers:
+
+    ========  =========  ==================================================
+    site      layers     value
+    ========  =========  ==================================================
+    x         0 .. L     block input ``[B,S,d]``; ``("x", 0)`` is the
+                         embedding output, ``("x", L)`` the last block's
+                         output
+    ln1       0 .. L     first norm output ``[B,S,d]``; ``("ln1", L)`` is
+                         the final norm, so block ``i``'s normalized output
+                         is always ``("ln1", i + 1)``
+    ln2       0 .. L-1   second norm output (the MLP input) ``[B,S,d]``
+    qkv       0 .. L-1   ``(q, k, v)`` head-major ``[B,heads,S,d_head]``
+                         after rotary positions, before GQA repetition
+    attn      0 .. L-1   per-head attention output ``[B,S,H,d_head]``
+                         before the output projection
+    mlp_pre   0 .. L-1   MLP pre-activation ``[B,S,d_hidden]``
+    ========  =========  ==================================================
+
+    Skipped blocks still report their ``x`` site and nothing else.
     """
     cfg = model.config
     tokens = np.asarray(tokens)
@@ -312,43 +292,36 @@ def forward(
     b, s = tokens.shape
     if s > cfg.max_seq_len:
         raise DataError(f"sequence length {s} exceeds max_seq_len {cfg.max_seq_len}")
-    record = ActivationRecord(num_layers=cfg.num_layers) if capture else None
+    acts: dict = {}
+
+    def emit(site: str, layer: int, value) -> None:
+        if tap is not None:
+            kept = tap(site, layer, value)
+            if kept is not None:
+                acts[(site, layer)] = kept
 
     x = ad.embedding(model.params["embedding"], tokens)
-    if capture and capture.embedding_out:
-        record.embedding_out = x
     for i in range(cfg.num_layers):
-        if capture and capture.block_inputs:
-            record.block_inputs.append(x)
+        emit("x", i, x)
         if i in skip_layers:
             continue
         h1 = ad.layer_norm(
             x, model.layer_param(i, "ln1.gamma"), model.layer_param(i, "ln1.beta")
         )
-        if capture and capture.ln1 and capture.wants(i):
-            record.ln1[i] = h1
-        x = ad.add(x, _attention(model, h1, i, record, capture))
+        emit("ln1", i, h1)
+        x = ad.add(x, _attention(model, h1, i, emit))
         h2 = ad.layer_norm(
             x, model.layer_param(i, "ln2.gamma"), model.layer_param(i, "ln2.beta")
         )
-        if capture and capture.ln2 and capture.wants(i):
-            record.ln2[i] = h2
+        emit("ln2", i, h2)
         pre = ad.matmul(h2, ad.transpose(model.layer_param(i, "mlp.w1"), (1, 0)))
-        if capture and capture.mlp_pre and capture.wants(i):
-            record.mlp_pre[i] = pre
-        act = ad.squared_relu(pre)
-        if capture and capture.mlp_post and capture.wants(i):
-            record.mlp_post[i] = act
-        x = ad.add(x, ad.matmul(act, model.layer_param(i, "mlp.w2")))
-    if capture and capture.block_inputs:
-        record.block_inputs.append(x)
+        emit("mlp_pre", i, pre)
+        x = ad.add(x, ad.matmul(ad.squared_relu(pre), model.layer_param(i, "mlp.w2")))
+    emit("x", cfg.num_layers, x)
     x = ad.layer_norm(x, model.params["final_ln.gamma"], model.params["final_ln.beta"])
-    if capture and capture.final_ln:
-        record.final_ln = x
+    emit("ln1", cfg.num_layers, x)
     logits = ad.matmul(x, ad.transpose(model.output_head(), (1, 0)))
-    if capture:
-        record.logits = logits
-    return logits, record
+    return logits, acts
 
 
 def lm_loss(

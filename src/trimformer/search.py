@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distill import DistillConfig, distill_loop
-from .errors import SearchError
+from .errors import DataError, SearchError
 from .importance import ImportanceReport
 from .model import Model, ModelConfig, count_params
 from .pruning import apply_candidate, resolve_query_groups
@@ -63,12 +63,14 @@ class SearchSpace:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SearchSpace":
-        d = dict(d)
-        d["layer_range"] = tuple(d["layer_range"])
-        d["head_choices"] = tuple(d["head_choices"])
-        d["mlp_expansion_factors"] = tuple(d["mlp_expansion_factors"])
-        d["embedding_choices"] = tuple(d["embedding_choices"])
-        return cls(**d)
+        try:
+            d = dict(d)
+            for name in ("layer_range", "head_choices", "mlp_expansion_factors",
+                         "embedding_choices"):
+                d[name] = tuple(d[name])
+            return cls(**d)
+        except (ValueError, KeyError, TypeError) as e:
+            raise SearchError(f"bad search space: {e!r}") from e
 
 
 def snap_mlp_width(factor: float, embedding: int) -> int:
@@ -139,15 +141,18 @@ class CandidateSet:
 
     @classmethod
     def from_json(cls, text: str) -> "CandidateSet":
-        d = json.loads(text)
-        a = d["assumptions"]
-        return cls(
-            space=SearchSpace.from_dict(d["space"]),
-            budget=a["budget"],
-            tolerance=a["tolerance"],
-            count_mode=a["count_mode"],
-            candidates=[Candidate.from_dict(c) for c in d["candidates"]],
-        )
+        try:
+            d = json.loads(text)
+            a = d["assumptions"]
+            return cls(
+                space=SearchSpace.from_dict(d["space"]),
+                budget=a["budget"],
+                tolerance=a["tolerance"],
+                count_mode=a["count_mode"],
+                candidates=[Candidate.from_dict(c) for c in d["candidates"]],
+            )
+        except (ValueError, KeyError, TypeError) as e:
+            raise DataError(f"malformed candidate manifest: {e!r}") from e
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as f:

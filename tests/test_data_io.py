@@ -81,6 +81,42 @@ def test_dataset_roundtrip(tmp_path):
     assert np.array_equal(np.frombuffer(raw, dtype="<u4"), ds.ids)
 
 
+MANIFEST_EDITS = {
+    "end_past_eof": lambda m, n: m["documents"][0].update(end=n + 50),
+    "inverted_span": lambda m, n: m["documents"][1].update(start=30, end=10),
+    "negative_start": lambda m, n: m["documents"][0].update(start=-1),
+    "missing_end": lambda m, n: m["documents"][0].pop("end"),
+    "missing_split": lambda m, n: m["documents"][0].pop("split"),
+    "missing_vocab_size": lambda m, n: m.pop("vocab_size"),
+    "missing_documents": lambda m, n: m.pop("documents"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(MANIFEST_EDITS))
+def test_dataset_load_rejects_bad_manifest(tmp_path, edit):
+    path = tmp_path / "t.txt"
+    path.write_text(synthetic_markov_text(10, 50, seed=2))
+    out = str(tmp_path / "corpus.tokens")
+    ds = ingest_text(str(path))
+    ds.save(out)
+    manifest_path = tmp_path / "corpus.tokens.json"
+    manifest = json.loads(manifest_path.read_text())
+    MANIFEST_EDITS[edit](manifest, len(ds))
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(DataError):
+        TokenDataset.load(out)
+
+
+def test_dataset_load_rejects_unparseable_manifest(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text(synthetic_markov_text(10, 50, seed=2))
+    out = str(tmp_path / "corpus.tokens")
+    ingest_text(str(path)).save(out)
+    (tmp_path / "corpus.tokens.json").write_text('{"vocab_size": 257, "docu')
+    with pytest.raises(DataError):
+        TokenDataset.load(out)
+
+
 def test_dataset_rejects_out_of_vocab():
     with pytest.raises(DataError):
         TokenDataset(np.array([0, 300], dtype=np.uint32), 257, [])

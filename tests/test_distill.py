@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,8 +21,8 @@ from trimformer.distill import (
     softmax_t,
     total_loss,
 )
-from trimformer.errors import ConfigError, DivergenceError, ShapeError
-from trimformer.model import CaptureSpec, ModelConfig, build_model, forward
+from trimformer.errors import ConfigError, DataError, DivergenceError, ShapeError
+from trimformer.model import ModelConfig, build_model, forward
 from trimformer.importance import compute_importance_report
 from trimformer.pruning import apply_candidate
 
@@ -145,12 +147,15 @@ def test_logit_loss_gradient_matches_fd(rng):
 
 
 def capture_all(model, toks):
-    spec = CaptureSpec(
-        attn_head_out=False, qkv=True, ln1=True, ln2=True, block_inputs=False,
-        embedding_out=True, final_ln=True,
-    )
-    _, rec = forward(model, toks, capture=spec)
-    return rec
+    sites = {"qkv", "ln1", "ln2"}
+
+    def tap(site, layer, value):
+        if site in sites or (site, layer) == ("x", 0):
+            return value
+        return None
+
+    _, acts = forward(model, toks, tap=tap)
+    return acts
 
 
 def test_intermediate_zero_for_identical_models(rng):
@@ -186,9 +191,9 @@ def test_intermediate_cosine_scale_invariance(rng):
     base = intermediate_loss(rec_t, rec_s, proj, cfg, d_head=4).item()
 
     scaled_t = capture_all(m, toks)
-    scaled_t.ln1[1] = Tensor(scaled_t.ln1[1].data * 7.5)
+    scaled_t[("ln1", 1)] = Tensor(scaled_t[("ln1", 1)].data * 7.5)
     scaled_s = capture_all(m2, toks)
-    scaled_s.ln1[1] = Tensor(scaled_s.ln1[1].data * 3.25)
+    scaled_s[("ln1", 1)] = Tensor(scaled_s[("ln1", 1)].data * 3.25)
     val = intermediate_loss(scaled_t, scaled_s, proj, cfg, d_head=4).item()
     assert val == pytest.approx(base, rel=1e-9)
 
@@ -203,8 +208,8 @@ def test_intermediate_single_pair_matches_recompute(rng):
     cfg = DistillConfig(is_components=("o",), layer_map=((0, 0),), is_loss_fn="cosine")
     got = intermediate_loss(rec_t, rec_s, proj, cfg, d_head=4).item()
     # straight-line: the layer-0 output state is the next block's first norm
-    t_state = rec_t.ln1[1].data
-    s_state = rec_s.ln1[1].data @ proj.matrix.data
+    t_state = rec_t[("ln1", 1)].data
+    s_state = rec_s[("ln1", 1)].data @ proj.matrix.data
     cos = []
     for b in range(2):
         for i in range(5):
@@ -221,6 +226,20 @@ def test_intermediate_requires_layer_map():
     cfg = DistillConfig(is_components=("o",))
     with pytest.raises(ConfigError):
         intermediate_loss(rec, rec, proj, cfg, d_head=4)
+
+
+def test_intermediate_layer_map_past_last_block():
+    m = build_model(small_config(), seed=5)
+    acts = capture_all(m, np.zeros((1, 4), dtype=int))
+    proj = SharedProjection(16, 16)
+    # Block 1 is the last: its output is the final norm, ("ln1", 2).
+    assert intermediate_loss(
+        acts, acts, proj, DistillConfig(is_components=("o",), layer_map=((1, 1),)), d_head=4
+    ).item() == pytest.approx(0.0, abs=1e-6)
+    with pytest.raises(DataError):
+        intermediate_loss(
+            acts, acts, proj, DistillConfig(is_components=("o",), layer_map=((2, 2),)), d_head=4
+        )
 
 
 def test_intermediate_dimension_mismatch():
@@ -377,6 +396,28 @@ def test_conventional_loss_decreases(corpus):
     first = np.mean([m["loss_total"] for m in metrics[:10]])
     last = np.mean([m["loss_total"] for m in metrics[-10:]])
     assert last < first * 0.8
+
+
+def test_training_steps_free_their_graphs_without_gc(corpus, toy_config):
+    """A consumed tape leaves no reference cycles behind, so the graph of
+    every step is freed at once even with the cycle collector off."""
+    corpus.split_ids("train")  # cached before tracing
+
+    def live_bytes_after(steps):
+        model = build_model(toy_config, seed=0)
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            model = conventional_loop(model, corpus, steps=steps, seed=0)[0]
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+
+    # One toy step's graph is about 20 MB; the slack covers interpreter
+    # free lists, which differ by a few KB between identical runs.
+    assert live_bytes_after(10) <= live_bytes_after(2) + 64 * 1024
 
 
 def test_conventional_equals_distill_with_clm_only(corpus):

@@ -7,7 +7,6 @@ import _oracles as oracle
 from trimformer import autodiff as ad
 from trimformer.errors import ConfigError, DataError
 from trimformer.model import (
-    CaptureSpec,
     ModelConfig,
     build_model,
     count_flops_per_step,
@@ -168,40 +167,64 @@ def test_zeroed_layer_is_exactly_removable():
     assert np.array_equal(full.data, removed.data)
 
 
+def keep_all(site, layer, value):
+    return value
+
+
 def test_capture_shapes(toy_config):
     m = build_model(toy_config, seed=0)
     toks = np.zeros((2, 6), dtype=int)
-    spec = CaptureSpec(
-        attn_head_out=True, qkv=True, mlp_pre=True, mlp_post=True,
-        ln1=True, ln2=True, block_inputs=True, embedding_out=True, final_ln=True,
-    )
-    logits, rec = forward(m, toks, capture=spec)
+    logits, acts = forward(m, toks, tap=keep_all)
     h, g, dh = toy_config.num_heads, toy_config.num_query_groups, toy_config.d_head
-    assert rec.attn_head_out[0].shape == (2, 6, h, dh)
-    q, k, v = rec.qkv[1]
+    n = toy_config.num_layers
+    assert acts[("attn", 0)].shape == (2, 6, h, dh)
+    q, k, v = acts[("qkv", 1)]
     assert q.shape == (2, h, 6, dh) and k.shape == (2, g, 6, dh) == v.shape
-    assert rec.mlp_pre[2].shape == (2, 6, toy_config.d_hidden)
-    assert rec.ln1[3].shape == (2, 6, toy_config.d_model)
-    assert len(rec.block_inputs) == toy_config.num_layers + 1
-    assert rec.embedding_out.shape == (2, 6, toy_config.d_model)
-    assert rec.final_ln.shape == (2, 6, toy_config.d_model)
-    assert rec.logits.shape == logits.shape
+    assert acts[("mlp_pre", 2)].shape == (2, 6, toy_config.d_hidden)
+    assert acts[("ln1", 3)].shape == (2, 6, toy_config.d_model)
+    assert sorted(i for site, i in acts if site == "x") == list(range(n + 1))
+    assert acts[("x", 0)].shape == (2, 6, toy_config.d_model)
+    final = acts[("ln1", n)]
+    assert final.shape == (2, 6, toy_config.d_model)
+    # The last ln1 site is the final norm: the logits are read from it.
+    assert np.array_equal(final.data @ m.output_head().data.T, logits.data)
+
+
+def test_capture_site_conventions(toy_config):
+    m = build_model(toy_config, seed=1)
+    toks = np.arange(12).reshape(2, 6)
+    _, acts = forward(m, toks, tap=keep_all)
+    n = toy_config.num_layers
+    assert np.array_equal(acts[("x", 0)].data, m["embedding"].data[toks])
+    assert sorted(i for site, i in acts if site == "ln1") == list(range(n + 1))
+    assert sorted(i for site, i in acts if site == "ln2") == list(range(n))
+    _, skipped = forward(m, toks, skip_layers={1}, tap=keep_all)
+    assert ("x", 1) in skipped and ("ln1", 1) not in skipped
+    assert np.array_equal(skipped[("x", 1)].data, skipped[("x", 2)].data)
+
+
+def test_forward_without_tap_captures_nothing(toy_config):
+    m = build_model(toy_config, seed=0)
+    assert forward(m, np.zeros((1, 4), dtype=int))[1] == {}
 
 
 def test_capture_layer_filter():
     m = build_model(small_config(), seed=0)
-    _, rec = forward(
+    _, acts = forward(
         m, np.zeros((1, 4), dtype=int),
-        capture=CaptureSpec(ln2=True, layers=frozenset({1})),
+        tap=lambda site, layer, value: value if (site, layer) == ("ln2", 1) else None,
     )
-    assert set(rec.ln2) == {1}
+    assert set(acts) == {("ln2", 1)}
 
 
 def test_capture_only_records_no_gradient_state(toy_config):
     m = build_model(toy_config, seed=0)
     before = ad.nodes_recorded_total()
-    forward(m, np.zeros((1, 4), dtype=int), capture=CaptureSpec(ln1=True))
-    assert ad.nodes_recorded_total() == before
+    _, acts = forward(
+        m, np.zeros((1, 4), dtype=int),
+        tap=lambda site, layer, value: value if site == "ln1" else None,
+    )
+    assert acts and ad.nodes_recorded_total() == before
 
 
 # ---------------------------------------------------------------- loss / ppl
