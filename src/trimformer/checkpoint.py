@@ -36,6 +36,11 @@ def save_checkpoint(model: Model, path: str) -> None:
     blobs = []
     offset = 0
     for name, tensor in model.params.items():
+        if tensor.data.dtype != np.float32:
+            raise CheckpointError(
+                f"tensor {name} is {tensor.data.dtype}; checkpoints store float32 "
+                f"only, so convert the model first", field="tensors"
+            )
         blob = np.ascontiguousarray(tensor.data, dtype=_DTYPE).tobytes()
         directory.append(
             {

@@ -16,12 +16,18 @@ from a text corpus (documents separated by blank lines)::
 
 ``exp.json`` holds a ``model`` section (:class:`ModelConfig` fields) and
 optional ``train`` and ``distill`` sections; ``space.json`` holds a
-:class:`SearchSpace`.
+:class:`SearchSpace`. The ``train`` section takes the keys ``steps``
+(default 200), ``batch_size``, ``seq_len``, ``lr_max`` and ``lr_min``
+(defaults: those of :func:`distill_loop`); each also has a flag
+(``--batch-size`` ...), and a flag given on the command line beats the
+config, which beats the default. ``train`` and ``distill`` run the same
+loop: ``train`` with the CLM-only objective and no teacher.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -29,14 +35,15 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import TokenDataset, ingest_text, sample_calibration
-from .distill import DistillConfig, conventional_loop, default_layer_map, distill_loop
+from .distill import CLM_ONLY, DistillConfig, check_train_args, default_layer_map, distill_loop
 from .errors import ConfigError, DataError, DivergenceError, TrimformerError
 from .importance import AggregationSpec, ImportanceReport, compute_importance_report
 from .model import Model, ModelConfig, build_model, count_params, lm_loss, perplexity
 from .pruning import apply_candidate
 from .search import CandidateSet, SearchSpace, enumerate_candidates, rank_candidates
 
-TRAIN_DEFAULTS = {"steps": 200, "batch_size": 8, "seq_len": 32, "lr_max": 1e-3, "lr_min": 1e-5}
+TRAIN_KEYS = ("steps", "batch_size", "seq_len", "lr_max", "lr_min")
+DEFAULT_STEPS = 200  # the other train keys default to distill_loop's values
 
 
 def _load_json(path: str) -> dict:
@@ -70,17 +77,40 @@ def _section(config: dict, name: str) -> dict:
     return section
 
 
-def _train_params(config: dict, args) -> dict:
-    train = _section(config, "train")
-    unknown = set(train) - set(TRAIN_DEFAULTS)
+def _train(args, config: dict, teacher: Model | None, student: Model,
+           data: TokenDataset, cfg: DistillConfig, **summary) -> int:
+    """The shared part of ``train`` and ``distill``: resolve the train keys
+    (flag > config ``train`` section > default), sample the eval batch, run
+    the loop, save the student and print the JSON line, ending in
+    ``summary``."""
+    section = _section(config, "train")
+    unknown = set(section) - set(TRAIN_KEYS)
     if unknown:
-        raise ConfigError(f"unknown train keys {sorted(unknown)}; use {sorted(TRAIN_DEFAULTS)}")
-    params = {**TRAIN_DEFAULTS, **train}
-    for name in params:
-        override = getattr(args, name, None)
-        if override is not None:
-            params[name] = override
-    return params
+        raise ConfigError(f"unknown train keys {sorted(unknown)}; use {sorted(TRAIN_KEYS)}")
+    loop_defaults = inspect.signature(distill_loop).parameters
+    params = {
+        "steps": DEFAULT_STEPS,
+        **{key: loop_defaults[key].default for key in TRAIN_KEYS[1:]},
+        **section,
+        **{key: getattr(args, key) for key in TRAIN_KEYS if getattr(args, key) is not None},
+    }
+    check_train_args(**params)
+    eval_data = None
+    if args.eval_every:
+        eval_data = sample_calibration(data, 16, params["seq_len"], args.seed, split="val")
+    student, metrics = distill_loop(
+        teacher, student, data, cfg, **params, seed=args.seed, eval_data=eval_data,
+        eval_every=args.eval_every, metrics_path=args.metrics,
+    )
+    save_checkpoint(student, args.out)
+    print(json.dumps({
+        "command": args.command,
+        "out": args.out,
+        "steps": params["steps"],
+        "final_loss": metrics[-1]["loss_total"] if metrics else None,
+        **summary,
+    }))
+    return 0
 
 
 def _eval_batch(dataset: TokenDataset, args) -> np.ndarray:
@@ -94,37 +124,10 @@ def cmd_train(args) -> int:
     if "model" not in config:
         raise ConfigError(f"{args.config} has no 'model' section")
     model_cfg = ModelConfig.from_dict(config["model"])
-    params = _train_params(config, args)
     data = _load_dataset(args.data, args.seed)
     model = build_model(model_cfg, seed=args.seed)
-    eval_data = None
-    if args.eval_every:
-        eval_data = sample_calibration(
-            data, 16, params["seq_len"], args.seed, split="val"
-        )
-    model, metrics = conventional_loop(
-        model,
-        data,
-        steps=params["steps"],
-        seed=args.seed,
-        batch_size=params["batch_size"],
-        seq_len=params["seq_len"],
-        lr_max=params["lr_max"],
-        lr_min=params["lr_min"],
-        eval_data=eval_data,
-        eval_every=args.eval_every,
-        metrics_path=args.metrics,
-    )
-    save_checkpoint(model, args.out)
-    counts = count_params(model_cfg)
-    print(json.dumps({
-        "command": "train",
-        "out": args.out,
-        "steps": params["steps"],
-        "final_loss": metrics[-1]["loss_total"] if metrics else None,
-        "total_params": counts.total,
-    }))
-    return 0
+    return _train(args, config, None, model, data, CLM_ONLY,
+                  total_params=count_params(model_cfg).total)
 
 
 def cmd_importance(args) -> int:
@@ -250,34 +253,7 @@ def cmd_distill(args) -> int:
                 teacher.config.num_layers, student.config.num_layers
             )],
         })
-    params = _train_params(config, args)
-    eval_data = None
-    if args.eval_every:
-        eval_data = sample_calibration(data, 16, params["seq_len"], args.seed, split="val")
-    student, metrics = distill_loop(
-        teacher,
-        student,
-        data,
-        cfg,
-        steps=params["steps"],
-        seed=args.seed,
-        batch_size=params["batch_size"],
-        seq_len=params["seq_len"],
-        lr_max=params["lr_max"],
-        lr_min=params["lr_min"],
-        eval_data=eval_data,
-        eval_every=args.eval_every,
-        metrics_path=args.metrics,
-    )
-    save_checkpoint(student, args.out)
-    print(json.dumps({
-        "command": "distill",
-        "out": args.out,
-        "steps": params["steps"],
-        "distill_config": cfg.to_dict(),
-        "final_loss": metrics[-1]["loss_total"] if metrics else None,
-    }))
-    return 0
+    return _train(args, config, teacher, student, data, cfg, distill_config=cfg.to_dict())
 
 
 def cmd_eval(args) -> int:
@@ -302,6 +278,16 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--metrics", default=None, help="JSONL metrics path")
 
 
+def _add_train_flags(p: argparse.ArgumentParser) -> None:
+    """The train keys as flags, None unless given, plus ``--eval-every``."""
+    p.add_argument("--steps", type=int)
+    p.add_argument("--batch-size", dest="batch_size", type=int)
+    p.add_argument("--seq-len", dest="seq_len", type=int)
+    p.add_argument("--lr-max", dest="lr_max", type=float)
+    p.add_argument("--lr-min", dest="lr_min", type=float)
+    p.add_argument("--eval-every", dest="eval_every", type=int, default=0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trimformer",
@@ -313,12 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="experiment JSON with model/train sections")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--seq-len", dest="seq_len", type=int)
-    p.add_argument("--lr-max", dest="lr_max", type=float)
-    p.add_argument("--lr-min", dest="lr_min", type=float)
-    p.add_argument("--eval-every", dest="eval_every", type=int, default=0)
+    _add_train_flags(p)
     _add_common(p)
     p.set_defaults(fn=cmd_train)
 
@@ -377,12 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None)
     p.add_argument("--merge-heads", dest="merge_heads", action="store_true")
     p.add_argument("--config", default=None, help="experiment JSON with distill/train sections")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--seq-len", dest="seq_len", type=int)
-    p.add_argument("--lr-max", dest="lr_max", type=float)
-    p.add_argument("--lr-min", dest="lr_min", type=float)
-    p.add_argument("--eval-every", dest="eval_every", type=int, default=0)
+    _add_train_flags(p)
     _add_common(p)
     p.set_defaults(fn=cmd_distill)
 

@@ -4,8 +4,13 @@ cosine learning-rate decay.
 
 The total objective is ``L_CLM + L_logits + alpha * L_is`` where alpha is
 either a constant or the per-step ratio L_logits / L_is, treated as a plain
-number (never differentiated through). The teacher runs outside the tape
-and its weights are untouched by training.
+number (never differentiated through); a config sums only the terms it
+enables. The teacher runs outside the tape and its weights are untouched by
+training.
+
+There is one training loop, :func:`distill_loop`. Conventional training on
+the ground-truth LM loss is that loop with the CLM-only config
+:data:`CLM_ONLY` and no teacher (:func:`conventional_loop`).
 """
 
 from __future__ import annotations
@@ -33,8 +38,9 @@ class DistillConfig:
     """Loss selection for one distillation run.
 
     ``logit_loss=None`` disables the logit term (conventional training sets
-    this and ``use_clm=True``). ``layer_map`` pairs are (teacher_layer,
-    student_layer) block indices for the mapped intermediate components.
+    this and ``use_clm=True``: :data:`CLM_ONLY`). ``layer_map`` pairs are
+    (teacher_layer, student_layer) block indices for the mapped
+    intermediate components.
     """
 
     logit_loss: str | None = "kld"
@@ -66,6 +72,10 @@ class DistillConfig:
             self, "layer_map", tuple((int(t), int(s)) for t, s in self.layer_map)
         )
 
+    @property
+    def needs_teacher(self) -> bool:
+        return self.logit_loss is not None or bool(self.is_components)
+
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
         d["is_components"] = list(self.is_components)
@@ -83,6 +93,9 @@ class DistillConfig:
             return cls(**d)
         except TypeError as e:  # unknown or mistyped keys
             raise ConfigError(f"bad distill config: {e}") from e
+
+
+CLM_ONLY = DistillConfig(logit_loss=None, use_clm=True)
 
 
 def default_layer_map(teacher_layers: int, student_layers: int) -> tuple[tuple[int, int], ...]:
@@ -286,7 +299,7 @@ def _capture_for(cfg: DistillConfig, col: int):
 
 def total_loss(
     batch: np.ndarray,
-    teacher: Model,
+    teacher: Model | None,
     student: Model,
     cfg: DistillConfig,
     projection: SharedProjection | None = None,
@@ -295,31 +308,28 @@ def total_loss(
     """One training objective evaluation.
 
     Returns ``(loss, components)`` where components holds plain floats for
-    logging. Dynamic alpha is computed from this step's values and treated
-    as a constant; ``alpha_override`` pins it (used by gradient checks).
+    logging, 0.0 for a term the config leaves out. Dynamic alpha is
+    computed from this step's values and treated as a constant;
+    ``alpha_override`` pins it (used by gradient checks). ``teacher`` is
+    only read when the config has teacher terms.
     """
-    needs_teacher = cfg.logit_loss is not None or bool(cfg.is_components)
     t_logits = t_acts = None
-    if needs_teacher:
+    if cfg.needs_teacher:
         with ad.no_grad():
             t_logits, t_acts = forward(teacher, batch, tap=_capture_for(cfg, 0))
     s_logits, s_acts = forward(student, batch, tap=_capture_for(cfg, 1))
 
-    zero = Tensor._wrap(np.zeros((), dtype=student.dtype))
-    components: dict[str, float] = {}
-    l_clm = zero
+    components = dict.fromkeys(
+        ("loss_clm", "loss_logits", "loss_is", "alpha", "alpha_times_is"), 0.0
+    )
+    terms: list[Tensor] = []
     if cfg.use_clm:
         shifted = slice_positions(s_logits, 0, s_logits.shape[1] - 1)
-        l_clm = ad.cross_entropy(shifted, batch[:, 1:])
-    components["loss_clm"] = l_clm.item()
-
-    l_logits = zero
+        terms.append(ad.cross_entropy(shifted, batch[:, 1:]))
+        components["loss_clm"] = terms[-1].item()
     if cfg.logit_loss is not None:
-        l_logits = logit_loss(t_logits.detach(), s_logits, cfg)
-    components["loss_logits"] = l_logits.item()
-
-    l_is = zero
-    alpha = 0.0
+        terms.append(logit_loss(t_logits.detach(), s_logits, cfg))
+        components["loss_logits"] = terms[-1].item()
     if cfg.is_components:
         if projection is None:
             raise ConfigError("intermediate components need a SharedProjection")
@@ -333,11 +343,14 @@ def total_loss(
             alpha = 0.0
         else:
             alpha = components["loss_logits"] / l_is.item()
-    components["loss_is"] = l_is.item()
-    components["alpha"] = alpha
-    components["alpha_times_is"] = alpha * l_is.item()
+        terms.append(ad.mul(l_is, float(alpha)))
+        components.update(
+            loss_is=l_is.item(), alpha=alpha, alpha_times_is=alpha * l_is.item()
+        )
 
-    loss = ad.add(ad.add(l_clm, l_logits), ad.mul(l_is, float(alpha)))
+    loss = terms[0]
+    for t in terms[1:]:
+        loss = ad.add(loss, t)
     components["loss_total"] = loss.item()
     return loss, components
 
@@ -386,26 +399,44 @@ class TrainState:
         self.step = t
 
 
-def _train(
-    student: Model,
+def check_train_args(steps, batch_size, seq_len, lr_max, lr_min) -> None:
+    """Raise :class:`ConfigError` unless the sizes are integers with
+    ``steps >= 0``, ``batch_size >= 1`` and ``seq_len >= 2``, and the
+    learning rates are numbers."""
+    for name, value, low in (("steps", steps, 0), ("batch_size", batch_size, 1),
+                             ("seq_len", seq_len, 2)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+    for name, value in (("lr_max", lr_max), ("lr_min", lr_min)):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
+def distill_loop(
     teacher: Model | None,
+    student: Model,
     data: TokenDataset,
     cfg: DistillConfig,
     steps: int,
-    seed: int,
-    batch_size: int,
-    seq_len: int,
-    lr_max: float,
-    lr_min: float,
-    eval_data: np.ndarray | None,
-    eval_every: int,
-    metrics_path: str | None,
+    seed: int = 0,
+    batch_size: int = 8,
+    seq_len: int = 32,
+    lr_max: float = 1e-3,
+    lr_min: float = 1e-5,
+    eval_data: np.ndarray | None = None,
+    eval_every: int = 0,
+    metrics_path: str | None = None,
 ):
+    """Train ``student`` on ``cfg``'s objective, against a frozen
+    ``teacher`` when the config has teacher terms (``teacher`` may be None
+    otherwise). Returns the trained student and its per-step metric
+    records."""
+    check_train_args(steps, batch_size, seq_len, lr_max, lr_min)
+    if teacher is None and cfg.needs_teacher:
+        raise ConfigError("logit and intermediate losses need a teacher")
     projection = None
     trainable = dict(student.trainable())
     if cfg.is_components:
-        if teacher is None:
-            raise ConfigError("intermediate components need a teacher")
         projection = SharedProjection(
             student.config.d_model, teacher.config.d_model, dtype=student.dtype
         )
@@ -420,32 +451,17 @@ def _train(
             for p in trainable.values():
                 p.grad = None
             with ad.Tape():
-                if teacher is None:
-                    loss = lm_loss(student, batch)
-                    components = {
-                        "loss_clm": loss.item(),
-                        "loss_logits": 0.0,
-                        "loss_is": 0.0,
-                        "alpha": 0.0,
-                        "alpha_times_is": 0.0,
-                        "loss_total": loss.item(),
-                    }
-                else:
-                    loss, components = total_loss(batch, teacher, student, cfg, projection)
+                loss, components = total_loss(batch, teacher, student, cfg, projection)
+            lr = state.lr()
             if not math.isfinite(components["loss_total"]):
                 raise DivergenceError(
                     f"non-finite loss at step {step}",
-                    state_dump={"step": step, "lr": state.lr(), **components},
+                    state_dump={"step": step, "lr": lr, **components},
                 )
             ad.backward(loss)
             state.adam_update(trainable)
             state.tokens_seen += batch_size * seq_len
-            entry = {
-                "step": step,
-                "lr": cosine_lr(step, steps, lr_max, lr_min),
-                "tokens": state.tokens_seen,
-                **components,
-            }
+            entry = {"step": step, "lr": lr, "tokens": state.tokens_seen, **components}
             if eval_data is not None and eval_every and (
                 (step + 1) % eval_every == 0 or step + 1 == steps
             ):
@@ -459,45 +475,7 @@ def _train(
     return student, metrics
 
 
-def distill_loop(
-    teacher: Model,
-    student: Model,
-    data: TokenDataset,
-    cfg: DistillConfig,
-    steps: int,
-    seed: int = 0,
-    batch_size: int = 8,
-    seq_len: int = 32,
-    lr_max: float = 1e-3,
-    lr_min: float = 1e-5,
-    eval_data: np.ndarray | None = None,
-    eval_every: int = 0,
-    metrics_path: str | None = None,
-):
-    """Retrain ``student`` against a frozen ``teacher``. Returns the trained
-    student and its per-step metric records."""
-    return _train(
-        student, teacher, data, cfg, steps, seed, batch_size, seq_len,
-        lr_max, lr_min, eval_data, eval_every, metrics_path,
-    )
-
-
-def conventional_loop(
-    student: Model,
-    data: TokenDataset,
-    steps: int,
-    seed: int = 0,
-    batch_size: int = 8,
-    seq_len: int = 32,
-    lr_max: float = 1e-3,
-    lr_min: float = 1e-5,
-    eval_data: np.ndarray | None = None,
-    eval_every: int = 0,
-    metrics_path: str | None = None,
-):
-    """Ground-truth-only training: the same loop with just the LM loss."""
-    cfg = DistillConfig(logit_loss=None, use_clm=True)
-    return _train(
-        student, None, data, cfg, steps, seed, batch_size, seq_len,
-        lr_max, lr_min, eval_data, eval_every, metrics_path,
-    )
+def conventional_loop(student: Model, data: TokenDataset, steps: int, **kw):
+    """Ground-truth-only training: :func:`distill_loop` with
+    :data:`CLM_ONLY` and no teacher. Takes its keyword arguments."""
+    return distill_loop(None, student, data, CLM_ONLY, steps, **kw)

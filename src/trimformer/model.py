@@ -54,11 +54,12 @@ class ModelConfig:
     tie_embeddings: bool = False
 
     def __post_init__(self):
-        if self.num_layers < 0:
-            raise ConfigError("num_layers must be non-negative")
         for f in fields(self):
-            if f.type == "int" and f.name != "num_layers" and getattr(self, f.name) <= 0:
-                raise ConfigError(f"{f.name} must be positive")
+            if f.type != "int":
+                continue
+            value, low = getattr(self, f.name), 0 if f.name == "num_layers" else 1
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ConfigError(f"{f.name} must be an integer >= {low}, got {value!r}")
         if self.num_heads % self.num_query_groups != 0:
             raise ConfigError(
                 f"num_heads={self.num_heads} not divisible by "
@@ -147,10 +148,6 @@ class Model:
 
     def trainable(self) -> dict[str, Tensor]:
         return {k: v for k, v in self.params.items() if v.requires_grad}
-
-    def zero_grads(self) -> None:
-        for p in self.params.values():
-            p.grad = None
 
     def copy(self) -> "Model":
         params = {

@@ -28,7 +28,6 @@ from .model import Model, ModelConfig, _layer_param_shapes
 class PruneSpec:
     target: ModelConfig
     rankings: ImportanceReport | None = None
-    layers_to_remove: list[int] | None = None
     merge_residual_heads: bool = False
 
 

@@ -284,6 +284,17 @@ def test_checkpoint_no_temp_file_left(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
 
+def test_checkpoint_refuses_non_float32_tensors(tmp_path):
+    wide = build_model(small_config(), seed=8, dtype=np.float64)
+    mixed = build_model(small_config(), seed=8)
+    mixed.params["lm_head"].data = mixed.params["lm_head"].data.astype(np.float16)
+    for m in (wide, mixed):
+        with pytest.raises(CheckpointError) as err:
+            save_checkpoint(m, str(tmp_path / "m.ckpt"))
+        assert err.value.field == "tensors"
+    assert list(tmp_path.iterdir()) == []
+
+
 @given(seed=st.integers(0, 100))
 def test_checkpoint_roundtrip_random_seeds(tmp_path_factory, seed):
     tmp = tmp_path_factory.mktemp("ckpt")

@@ -9,9 +9,11 @@ import pytest
 import _oracles as oracle
 from trimformer import autodiff as ad
 from trimformer.autodiff import Tape, Tensor
+from trimformer.data import sample_batch
 from trimformer.distill import (
     DistillConfig,
     SharedProjection,
+    TrainState,
     conventional_loop,
     cosine_lr,
     default_layer_map,
@@ -22,7 +24,7 @@ from trimformer.distill import (
     total_loss,
 )
 from trimformer.errors import ConfigError, DataError, DivergenceError, ShapeError
-from trimformer.model import ModelConfig, build_model, forward
+from trimformer.model import ModelConfig, build_model, forward, lm_loss
 from trimformer.importance import compute_importance_report
 from trimformer.pruning import apply_candidate
 
@@ -420,16 +422,34 @@ def test_training_steps_free_their_graphs_without_gc(corpus, toy_config):
     assert live_bytes_after(10) <= live_bytes_after(2) + 64 * 1024
 
 
-def test_conventional_equals_distill_with_clm_only(corpus):
-    a = build_model(small_config(vocab_size=257, max_seq_len=64), seed=9)
-    b = build_model(small_config(vocab_size=257, max_seq_len=64), seed=9)
-    teacher = build_model(small_config(vocab_size=257, max_seq_len=64), seed=10)
-    a, ma = conventional_loop(a, corpus, steps=8, seed=1)
-    cfg = DistillConfig(logit_loss=None, use_clm=True)
-    b, mb = distill_loop(teacher, b, corpus, cfg, steps=8, seed=1)
-    assert ma == mb
-    for k in a.params:
-        assert np.array_equal(a.params[k].data, b.params[k].data)
+def test_conventional_loop_matches_straight_line_reference(corpus):
+    """The reference is LM-loss Adam training written out step by step."""
+    config = small_config(vocab_size=257, max_seq_len=64)
+    model, metrics = conventional_loop(build_model(config, seed=9), corpus, steps=8, seed=1)
+
+    ref = build_model(config, seed=9)
+    params = ref.trainable()
+    state = TrainState(total_steps=8, lr_max=1e-3, lr_min=1e-5)
+    rng = np.random.default_rng(1)
+    for step in range(8):
+        batch = sample_batch(corpus, rng, 8, 32)
+        for p in params.values():
+            p.grad = None
+        with Tape():
+            loss = lm_loss(ref, batch)
+        ad.backward(loss)
+        state.adam_update(params)
+        assert metrics[step]["loss_total"] == metrics[step]["loss_clm"] == loss.item()
+    assert len(metrics) == 8
+    for k in ref.params:
+        assert np.array_equal(model.params[k].data, ref.params[k].data)
+
+
+def test_loop_without_teacher_rejects_teacher_terms(corpus):
+    student = build_model(small_config(vocab_size=257, max_seq_len=64), seed=9)
+    for cfg in (DistillConfig(), DistillConfig(logit_loss=None, is_components=("emb",))):
+        with pytest.raises(ConfigError):
+            distill_loop(None, student, corpus, cfg, steps=1)
 
 
 def test_metrics_bit_identical_across_runs(corpus):
