@@ -51,13 +51,7 @@ from .model import (
     lm_loss,
     perplexity,
 )
-from .pruning import (
-    PruneSpec,
-    apply_candidate,
-    merge_residual_heads,
-    prune_depth,
-    prune_width,
-)
+from .pruning import apply_candidate, prune_depth, prune_width
 from .search import CandidateSet, SearchSpace, enumerate_candidates, rank_candidates
 
 __version__ = "0.1.0"

@@ -11,7 +11,8 @@ Layout, all little-endian:
 Each directory entry is ``{"name", "dtype", "shape", "offset"}`` with the
 offset relative to the payload start. Offsets must be non-overlapping and
 in-bounds; save -> load -> save round trips are byte-identical. Writes go
-through a temp file and an atomic rename.
+through a temp file and an atomic rename (:func:`write_atomic`, which every
+artifact writer shares).
 """
 
 from __future__ import annotations
@@ -29,6 +30,21 @@ from .model import Model, ModelConfig, _layer_param_shapes
 MAGIC = b"MTRF"
 FORMAT_VERSION = 1
 _DTYPE = "<f4"
+
+
+def write_atomic(path: str, *chunks: bytes) -> None:
+    """Write ``chunks`` to ``path`` through a temp file next to it and an
+    atomic rename. Callers serialize before calling, so a failure at any
+    point leaves the previous file as it was and removes the temp file."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def save_checkpoint(model: Model, path: str) -> None:
@@ -55,15 +71,10 @@ def save_checkpoint(model: Model, path: str) -> None:
     header = json.dumps(
         {"config": model.config.to_dict(), "tensors": directory}
     ).encode("utf-8")
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", FORMAT_VERSION))
-        f.write(struct.pack("<Q", len(header)))
-        f.write(header)
-        for blob in blobs:
-            f.write(blob)
-    os.replace(tmp, path)
+    write_atomic(
+        path, MAGIC, struct.pack("<I", FORMAT_VERSION), struct.pack("<Q", len(header)),
+        header, *blobs,
+    )
 
 
 def load_checkpoint(path: str) -> Model:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import sys
 
 import numpy as np
@@ -37,8 +38,8 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .data import TokenDataset, ingest_text, sample_calibration
 from .distill import CLM_ONLY, DistillConfig, check_train_args, default_layer_map, distill_loop
 from .errors import ConfigError, DataError, DivergenceError, TrimformerError
-from .importance import AggregationSpec, ImportanceReport, compute_importance_report
-from .model import Model, ModelConfig, build_model, count_params, lm_loss, perplexity
+from .importance import DEPTH_METRICS, AggregationSpec, ImportanceReport, compute_importance_report
+from .model import Model, ModelConfig, build_model, count_params, lm_loss
 from .pruning import apply_candidate
 from .search import CandidateSet, SearchSpace, enumerate_candidates, rank_candidates
 
@@ -261,7 +262,7 @@ def cmd_eval(args) -> int:
     data = _load_dataset(args.data, args.seed)
     batch = _eval_batch(data, args)
     loss = lm_loss(model, batch).item()
-    ppl = perplexity(model, batch)
+    ppl = math.exp(loss)  # the perplexity of one batch, from the same forward
     print(json.dumps({
         "command": "eval",
         "ckpt": args.ckpt,
@@ -327,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pick", default="best", help="candidate label or 'best'")
     p.add_argument("--remove-layers", dest="remove_layers", default=None)
     p.add_argument("--depth-metric", dest="depth_metric", default="ppl",
-                   choices=("ppl", "bi"))
+                   choices=DEPTH_METRICS)
     p.add_argument("--merge-heads", dest="merge_heads", action="store_true")
     _add_common(p)
     p.set_defaults(fn=cmd_prune)

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import string
 from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import write_atomic
 from .errors import DataError
 
 DOC_SEPARATOR = 256
@@ -63,10 +63,6 @@ class TokenDataset:
         return hashlib.sha256(self.ids.astype("<u4").tobytes()).hexdigest()
 
     def save(self, path: str) -> None:
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as f:
-            f.write(self.ids.astype("<u4").tobytes())
-        os.replace(tmp, path)
         manifest = {
             "vocab_size": self.vocab_size,
             "documents": [
@@ -74,10 +70,8 @@ class TokenDataset:
                 for d in self.documents
             ],
         }
-        mtmp = path + ".json.tmp"
-        with open(mtmp, "w", encoding="utf-8") as f:
-            json.dump(manifest, f, indent=1)
-        os.replace(mtmp, path + ".json")
+        write_atomic(path, self.ids.astype("<u4").tobytes())
+        write_atomic(path + ".json", json.dumps(manifest, indent=1).encode("utf-8"))
 
     @classmethod
     def load(cls, path: str) -> "TokenDataset":

@@ -22,11 +22,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .checkpoint import write_atomic
 from .errors import ConfigError, DataError, PruneError
 from .model import Model, forward, perplexity
+from .pruning import apply_candidate, resolve_query_groups
 
 _AGG_ALIASES = {"mean": "mean_abs", "var": "variance", "l2": "l2"}
 _AGG_NAMES = ("mean_abs", "l2", "variance")
+DEPTH_METRICS = ("ppl", "bi")
+
+
+def _depth_field(metric: str) -> str:
+    """The report field that holds the depth scores under ``metric``."""
+    if metric not in DEPTH_METRICS:
+        raise ConfigError(f"unknown depth metric {metric!r}; use {DEPTH_METRICS}")
+    return "layer_scores_" + metric
 
 
 def _canon_agg(name: str) -> str:
@@ -254,8 +264,13 @@ class ImportanceReport:
     def emb_ranked(self) -> np.ndarray:
         return self._rank_desc(self.emb_scores)
 
+    def layer_scores(self, metric: str) -> np.ndarray | None:
+        """Depth scores under ``metric`` (one of :data:`DEPTH_METRICS`), or
+        None when the report was made without them."""
+        return getattr(self, _depth_field(metric))
+
     def layers_ranked(self, metric: str = "ppl") -> np.ndarray:
-        scores = self.layer_scores_ppl if metric == "ppl" else self.layer_scores_bi
+        scores = self.layer_scores(metric)
         if scores is None:
             raise DataError(f"report is missing {metric} layer scores")
         return self._rank_desc(scores)
@@ -309,8 +324,7 @@ class ImportanceReport:
             raise DataError(f"malformed importance report: {e!r}") from e
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(self.to_json())
+        write_atomic(path, self.to_json().encode("utf-8"))
 
     @classmethod
     def load(cls, path: str) -> "ImportanceReport":
@@ -374,8 +388,7 @@ def iterative_importance(
     Each axis shrinks by (source - target) / T per round, which must divide
     evenly. ``T=1`` is exactly single-shot pruning.
     """
-    from .pruning import apply_candidate, resolve_query_groups  # deferred: pruning imports this module
-
+    _depth_field(depth_metric)  # a misspelled metric fails before any scoring
     spec = spec or AggregationSpec()
     if T < 1:
         raise ConfigError("iteration count T must be >= 1")

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import write_atomic
 from .distill import DistillConfig, distill_loop
 from .errors import DataError, SearchError
 from .importance import ImportanceReport
@@ -155,8 +156,7 @@ class CandidateSet:
             raise DataError(f"malformed candidate manifest: {e!r}") from e
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(self.to_json())
+        write_atomic(path, self.to_json().encode("utf-8"))
 
     @classmethod
     def load(cls, path: str) -> "CandidateSet":

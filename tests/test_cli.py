@@ -3,14 +3,15 @@ the error contract: every malformed input fails with exit 1 and one JSON
 error line on stderr naming a typed error, never a traceback."""
 
 import json
+import math
 
 import pytest
 
-from trimformer import cli, errors
-from trimformer.checkpoint import save_checkpoint
-from trimformer.data import ingest_text, synthetic_markov_text
+from trimformer import cli, errors, model
+from trimformer.checkpoint import load_checkpoint, save_checkpoint
+from trimformer.data import ingest_text, sample_calibration, synthetic_markov_text
 from trimformer.distill import conventional_loop
-from trimformer.model import ModelConfig, build_model
+from trimformer.model import ModelConfig, build_model, perplexity
 
 MODEL = dict(
     num_layers=2, d_model=16, num_heads=4, num_query_groups=2, d_head=4,
@@ -190,3 +191,22 @@ def test_pipeline_recipe_end_to_end(tmp_path, capsys):
     # --steps 2 beats the config's 5; the config's batch_size and seq_len hold.
     retrain = [json.loads(line) for line in (d / "distill.jsonl").read_text().splitlines()]
     assert [m["tokens"] for m in retrain] == [16, 32]
+
+
+def test_eval_runs_one_forward(workdir, capsys, monkeypatch):
+    calls = []
+    real_forward = model.forward
+
+    def counting_forward(*args, **kw):
+        calls.append(1)
+        return real_forward(*args, **kw)
+
+    monkeypatch.setattr(model, "forward", counting_forward)
+    argv = (f"eval --ckpt {workdir}/model.ckpt --data {workdir}/corpus.txt "
+            "--samples 4 --seq-len 8 --split train")
+    assert cli.main(argv.split()) == 0
+    assert len(calls) == 1
+    line = json.loads(capsys.readouterr().out)
+    assert line["perplexity"] == math.exp(line["lm_loss"])
+    batch = sample_calibration(ingest_text(str(workdir / "corpus.txt"), seed=0), 4, 8, 0)
+    assert line["perplexity"] == perplexity(load_checkpoint(str(workdir / "model.ckpt")), batch)

@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 
 import numpy as np
@@ -16,7 +17,9 @@ from trimformer.data import (
     synthetic_markov_text,
 )
 from trimformer.errors import CheckpointError, DataError
+from trimformer.importance import compute_importance_report
 from trimformer.model import ModelConfig, _layer_param_shapes, build_model, forward
+from trimformer.search import SearchSpace, enumerate_candidates
 
 
 def small_config(**kw):
@@ -304,3 +307,67 @@ def test_checkpoint_roundtrip_random_seeds(tmp_path_factory, seed):
     loaded = load_checkpoint(str(path))
     for name in m.params:
         assert np.array_equal(loaded.params[name].data, m.params[name].data)
+
+
+# ---------------------------------------------------------------- atomic artifacts
+
+
+def report_with_block_score(score):
+    m = build_model(small_config(), seed=9)
+    calib = np.random.default_rng(9).integers(0, 19, size=(2, 8))
+    report = compute_importance_report(m, calib, include_ppl=False, include_bi=False)
+    report.block_bi_scores = {(0, 1): score}
+    return report
+
+
+def candidates_with_loss(loss):
+    space = SearchSpace(
+        layer_range=(1, 2), head_choices=(2, 4), mlp_expansion_factors=(8.0,),
+        embedding_choices=(8, 16), d_head=4, vocab_size=257, num_query_groups=2,
+    )
+    result = enumerate_candidates(space, 6500, 0.2)
+    result.candidates[0].eval_loss = loss
+    return result
+
+
+# A numpy float32 is not JSON-serializable, so the second save fails while
+# serializing.
+FAILING_SAVES = {
+    "report": lambda score: report_with_block_score(score),
+    "candidates": lambda loss: candidates_with_loss(loss),
+}
+
+
+@pytest.mark.parametrize("artifact", sorted(FAILING_SAVES))
+def test_failed_save_keeps_previous_artifact(artifact, tmp_path):
+    make = FAILING_SAVES[artifact]
+    path = tmp_path / "artifact.json"
+    make(0.5).save(str(path))
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        make(np.float32(0.25)).save(str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact.json"]
+
+
+def test_failed_rename_keeps_previous_files_and_leaves_no_temp(tmp_path, monkeypatch):
+    corpus = tmp_path / "t.txt"
+    corpus.write_text(synthetic_markov_text(10, 50, seed=2))
+    writers = {
+        "m.ckpt": lambda p: save_checkpoint(build_model(small_config(), seed=1), p),
+        "corpus.tokens": lambda p: ingest_text(str(corpus)).save(p),
+        "report.json": lambda p: report_with_block_score(0.5).save(p),
+        "cands.json": lambda p: candidates_with_loss(0.5).save(p),
+    }
+    for name, write in writers.items():
+        write(str(tmp_path / name))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def fail(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "replace", fail)
+    for name, write in writers.items():
+        with pytest.raises(OSError):
+            write(str(tmp_path / name))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
-from trimformer.errors import PruneError
-from trimformer.importance import AggregationSpec, ImportanceReport, compute_importance_report
-from trimformer.model import ModelConfig, build_model, count_params, forward
+from trimformer.errors import ConfigError, PruneError
+from trimformer.importance import (
+    AggregationSpec,
+    ImportanceReport,
+    compute_importance_report,
+    iterative_importance,
+)
+from trimformer.model import ModelConfig, _layer_param_shapes, build_model, count_params, forward
 from trimformer.pruning import (
-    PruneSpec,
     apply_candidate,
+    least_important_layers,
     merge_pairs,
-    merge_residual_heads,
     prune_depth,
     prune_width,
     resolve_query_groups,
@@ -42,13 +46,11 @@ def assert_bit_identical(a, b):
 
 def test_prune_to_self_is_bit_identity():
     m = build_model(small_config(), seed=0)
-    pruned = prune_width(m, PruneSpec(target=m.config))
+    pruned = prune_width(m, m.config)
     assert_bit_identical(m, pruned)
     # With merge requested the no-op path must still be the identity.
     rep = report_for(m)
-    pruned2 = prune_width(
-        m, PruneSpec(target=m.config, rankings=rep, merge_residual_heads=True)
-    )
+    pruned2 = prune_width(m, m.config, rep, merge_heads=True)
     assert_bit_identical(m, pruned2)
 
 
@@ -68,7 +70,7 @@ def test_dead_neurons_prune_exactly():
         m.params[f"layers.{layer}.mlp.w1"].data[dead] = 0.0
     rep = report_for(m)
     target = m.config.with_(d_hidden=29)
-    pruned = prune_width(m, PruneSpec(target=target, rankings=rep))
+    pruned = prune_width(m, target, rep)
     toks = np.random.default_rng(3).integers(0, 19, size=(2, 8))
     base, _ = forward(m, toks)
     after, _ = forward(pruned, toks)
@@ -90,7 +92,7 @@ def test_dead_heads_prune_exactly():
     rep.head_scores[:, 1] = 0.0
     rep.head_scores[:, 3] = 0.0
     target = m.config.with_(num_heads=2)
-    pruned = prune_width(m, PruneSpec(target=target, rankings=rep))
+    pruned = prune_width(m, target, rep)
     toks = np.random.default_rng(5).integers(0, 19, size=(2, 8))
     base, _ = forward(m, toks)
     after, _ = forward(pruned, toks)
@@ -118,7 +120,7 @@ def test_dead_embedding_channels_prune_exactly():
     rep = report_for(m)
     assert rep.emb_scores[dead[0]] == 0.0 and rep.emb_scores[dead[1]] == 0.0
     target = m.config.with_(d_model=14)
-    pruned = prune_width(m, PruneSpec(target=target, rankings=rep))
+    pruned = prune_width(m, target, rep)
     toks = np.random.default_rng(8).integers(0, 19, size=(2, 8))
     base, _ = forward(m, toks)
     after, _ = forward(pruned, toks)
@@ -142,7 +144,7 @@ def test_prune_width_matches_independent_slicing():
     m = build_model(small_config(), seed=11)
     rep = report_for(m)
     target = small_config(d_model=10, num_heads=2, d_hidden=20)
-    pruned = prune_width(m, PruneSpec(target=target, rankings=rep))
+    pruned = prune_width(m, target, rep)
 
     # Independent selection: top-k per axis, original order preserved.
     def top(scores, k):
@@ -177,7 +179,7 @@ def test_pruned_count_matches_target_config():
     m = build_model(small_config(), seed=12)
     rep = report_for(m)
     target = small_config(d_model=8, num_heads=2, d_hidden=16)
-    pruned = prune_width(m, PruneSpec(target=target, rankings=rep))
+    pruned = prune_width(m, target, rep)
     walked = sum(int(np.prod(p.data.shape)) for p in pruned.params.values())
     assert walked == count_params(target).total
 
@@ -188,13 +190,13 @@ def test_pruned_count_matches_target_config():
 def test_prune_width_validation_errors():
     m = build_model(small_config(), seed=13)
     with pytest.raises(PruneError):
-        prune_width(m, PruneSpec(target=small_config(d_model=32)))  # grows
+        prune_width(m, small_config(d_model=32))  # grows
     with pytest.raises(PruneError):
-        prune_width(m, PruneSpec(target=small_config(d_model=8)))  # no rankings
+        prune_width(m, small_config(d_model=8))  # no rankings
     with pytest.raises(PruneError):
-        prune_width(m, PruneSpec(target=small_config(num_layers=1)))  # depth change
+        prune_width(m, small_config(num_layers=1))  # depth change
     with pytest.raises(PruneError):
-        prune_width(m, PruneSpec(target=small_config(d_head=2)))
+        prune_width(m, small_config(d_head=2))
 
 
 def test_incomplete_rankings_rejected():
@@ -211,7 +213,7 @@ def test_incomplete_rankings_rejected():
         calibration_checksum=rep.calibration_checksum,
     )
     with pytest.raises(PruneError):
-        prune_width(m, PruneSpec(target=small_config(num_heads=2), rankings=bad))
+        prune_width(m, small_config(num_heads=2), bad)
 
 
 # ---------------------------------------------------------------- depth
@@ -277,9 +279,7 @@ def test_merge_four_into_three():
     rep.head_scores[0] = np.array([10.0, 9.0, 8.0, 7.0])  # rank == index
     orig = m.params["layers.0.attn.wq"].data.copy()
     target = m.config.with_(num_heads=3)
-    pruned = prune_width(
-        m, PruneSpec(target=target, rankings=rep, merge_residual_heads=True)
-    )
+    pruned = prune_width(m, target, rep, merge_heads=True)
     got = pruned.params["layers.0.attn.wq"].data
     assert np.array_equal(got[0:dh], orig[0:dh])
     assert np.array_equal(got[dh : 2 * dh], orig[dh : 2 * dh])
@@ -295,10 +295,8 @@ def test_merge_with_identical_partner_is_noop():
     rep = report_for(m)
     rep.head_scores[0] = np.array([10.0, 9.0, 8.0, 7.0])
     target = m.config.with_(num_heads=3)
-    merged = prune_width(
-        m, PruneSpec(target=target, rankings=rep, merge_residual_heads=True)
-    )
-    plain = prune_width(m, PruneSpec(target=target, rankings=rep))
+    merged = prune_width(m, target, rep, merge_heads=True)
+    plain = prune_width(m, target, rep)
     assert_bit_identical(merged, plain)
 
 
@@ -306,7 +304,7 @@ def test_merge_disabled_is_plain_trim():
     m = merge_model()
     rep = report_for(m)
     target = m.config.with_(num_heads=3)
-    plain = prune_width(m, PruneSpec(target=target, rankings=rep))
+    plain = prune_width(m, target, rep)
     dh = m.config.d_head
     kept = np.sort(np.argsort(-rep.head_scores[0], kind="stable")[:3])
     rows = np.concatenate([np.arange(h * dh, (h + 1) * dh) for h in kept])
@@ -320,7 +318,7 @@ def test_merge_more_than_half_raises():
     rep = report_for(m)
     target = m.config.with_(num_heads=1)
     with pytest.raises(PruneError):
-        prune_width(m, PruneSpec(target=target, rankings=rep, merge_residual_heads=True))
+        prune_width(m, target, rep, merge_heads=True)
 
 
 def test_merge_mha_touches_kv_and_output():
@@ -331,13 +329,28 @@ def test_merge_mha_touches_kv_and_output():
     rep.head_scores[0] = np.array([10.0, 9.0, 8.0, 7.0])
     orig = {n: m.params[f"layers.0.attn.{n}"].data.copy() for n in ("wq", "wk", "wv", "wo")}
     target = cfg.with_(num_heads=3, num_query_groups=3)
-    pruned = prune_width(
-        m, PruneSpec(target=target, rankings=rep, merge_residual_heads=True)
-    )
+    pruned = prune_width(m, target, rep, merge_heads=True)
     for n in ("wq", "wk", "wv", "wo"):
         got = pruned.params[f"layers.0.attn.{n}"].data
         want = 2.0 * orig[n][2 * dh : 3 * dh] - orig[n][3 * dh : 4 * dh]
         assert np.allclose(got[2 * dh : 3 * dh], want), n
+
+
+def test_merge_under_grouped_selection():
+    # Group 0 keeps head 0 and group 1 keeps head 3, so the kept set is not
+    # the global top-2 (heads 0 and 1). Ranks, kept first: 0, 3 | 1, 2.
+    m = build_model(small_config(num_layers=1), seed=28)
+    dh = m.config.d_head
+    rep = report_for(m)
+    rep.head_scores[0] = np.array([10.0, 9.0, 1.0, 2.0])
+    wq = m.params["layers.0.attn.wq"].data
+    pruned = prune_width(m, m.config.with_(num_heads=2), rep, merge_heads=True)
+    head = [wq[h * dh : (h + 1) * dh] for h in range(4)]
+    want = np.concatenate([2.0 * head[0] - head[2], 2.0 * head[3] - head[1]])
+    assert np.array_equal(pruned.params["layers.0.attn.wq"].data, want)
+    assert np.array_equal(
+        pruned.params["layers.0.attn.wk"].data, m.params["layers.0.attn.wk"].data
+    )
 
 
 # ---------------------------------------------------------------- grouped kv
@@ -356,7 +369,7 @@ def test_group_reduction_prunes_kv():
     # make group 1 (heads 2,3) clearly more important
     rep.head_scores[0] = np.array([1.0, 2.0, 10.0, 9.0])
     target = m.config.with_(num_heads=2, num_query_groups=1)
-    pruned = prune_width(m, PruneSpec(target=target, rankings=rep))
+    pruned = prune_width(m, target, rep)
     dh = m.config.d_head
     assert np.array_equal(
         pruned.params["layers.0.attn.wk"].data,
@@ -379,6 +392,70 @@ def test_apply_candidate_depth_then_width():
     assert pruned.config == candidate
     walked = sum(int(np.prod(p.data.shape)) for p in pruned.params.values())
     assert walked == count_params(candidate).total
+
+
+def test_apply_candidate_depth_and_width_match_independent_slicing():
+    m = build_model(small_config(num_layers=4), seed=29)
+    rep = report_for(m)
+    rep.layer_scores_ppl = np.array([5.0, 1.0, 4.0, 0.5])  # blocks 0 and 2 stay
+    # Block 1's head row keeps other heads than block 2's, so a block read
+    # from its new index instead of its source index fails.
+    rep.head_scores = np.array(
+        [[4.0, 3.0, 2.0, 1.0], [2.0, 1.0, 4.0, 3.0], [3.0, 4.0, 1.0, 2.0], [1.0, 2.0, 3.0, 4.0]]
+    )
+    candidate = small_config(num_layers=2, d_model=10, num_heads=2, d_hidden=20)
+    pruned = apply_candidate(m, candidate, rep)
+
+    def top(scores, k):
+        return np.sort(np.argsort(-scores, kind="stable")[:k])
+
+    def head_rows(heads):
+        return np.concatenate([np.arange(h * 4, (h + 1) * 4) for h in heads])
+
+    kept_emb = top(rep.emb_scores, 10)
+    for new_i, old_i in enumerate((0, 2)):
+        scores = rep.head_scores[old_i]
+        heads = [g * 2 + int(np.argmax(scores[g * 2 : g * 2 + 2])) for g in range(2)]
+        neurons = top(rep.neuron_scores[old_i], 20)
+        src, dst = f"layers.{old_i}.", f"layers.{new_i}."
+        want = {
+            "attn.wq": m.params[src + "attn.wq"].data[head_rows(heads)],
+            "attn.wk": m.params[src + "attn.wk"].data,
+            "attn.wv": m.params[src + "attn.wv"].data,
+            "attn.wo": m.params[src + "attn.wo"].data[head_rows(heads)],
+            "mlp.w1": m.params[src + "mlp.w1"].data[neurons],
+            "mlp.w2": m.params[src + "mlp.w2"].data[neurons],
+        }
+        for name, rows in want.items():
+            assert np.array_equal(pruned.params[dst + name].data, rows[:, kept_emb]), dst + name
+        for name in ("ln1.gamma", "ln1.beta", "ln2.gamma", "ln2.beta"):
+            got = pruned.params[dst + name].data
+            assert np.array_equal(got, m.params[src + name].data[kept_emb]), dst + name
+    for name in ("embedding", "lm_head"):
+        assert np.array_equal(pruned.params[name].data, m.params[name].data[:, kept_emb])
+    assert list(pruned.params) == [name for name, _ in _layer_param_shapes(candidate)]
+
+
+def test_depth_scores_must_match_the_model():
+    m = build_model(small_config(num_layers=4), seed=30)
+    deeper = report_for(build_model(small_config(num_layers=6), seed=30))
+    with pytest.raises(PruneError):
+        apply_candidate(m, small_config(num_layers=2), deeper)
+
+
+def test_misspelled_depth_metric_is_rejected():
+    m = build_model(small_config(num_layers=4), seed=31)
+    rep = report_for(m)
+    for metric in ("PPL", "perplexity", ""):
+        with pytest.raises(ConfigError):
+            least_important_layers(rep, 1, metric)
+        with pytest.raises(ConfigError):
+            rep.layers_ranked(metric)
+        with pytest.raises(ConfigError):
+            apply_candidate(m, small_config(num_layers=3), rep, depth_metric=metric)
+    calib = np.random.default_rng(0).integers(0, 19, size=(2, 8))
+    with pytest.raises(ConfigError):
+        iterative_importance(m, calib, {"layers": 3}, T=1, depth_metric="perplexity")
 
 
 def test_apply_candidate_axis_combinations():
@@ -435,7 +512,7 @@ def test_prune_commutes_with_channel_permutation():
 
     target = m.config.with_(d_model=10)
     # prune, then permute the *kept* channel positions consistently
-    pruned = prune_width(m, PruneSpec(target=target, rankings=rep))
+    pruned = prune_width(m, target, rep)
     permuted = permute(m)
     rep_p = ImportanceReport(
         head_scores=rep.head_scores,
@@ -447,7 +524,7 @@ def test_prune_commutes_with_channel_permutation():
         agg=rep.agg,
         calibration_checksum=rep.calibration_checksum,
     )
-    pruned_permuted = prune_width(permuted, PruneSpec(target=target, rankings=rep_p))
+    pruned_permuted = prune_width(permuted, target, rep_p)
     # Both keep the same channel *identities*; order differs by the induced
     # permutation, so compare as sets via sorted channel signatures.
     a = np.sort(pruned.params["embedding"].data, axis=1)
