@@ -13,7 +13,6 @@ from .distill import (
     distill_loop,
     intermediate_loss,
     logit_loss,
-    softmax_t,
     total_loss,
 )
 from .errors import (
@@ -31,14 +30,9 @@ from .importance import (
     AggregationSpec,
     ImportanceReport,
     aggregate,
-    block_bi,
     compute_importance_report,
-    emb_importance,
-    head_importance,
     iterative_importance,
-    layer_importance_bi,
     layer_importance_ppl,
-    neuron_importance,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
 from .model import (

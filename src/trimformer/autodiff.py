@@ -87,21 +87,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor._wrap(self.data)
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -257,10 +242,6 @@ def sub(a, b) -> Tensor:
         return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
     return _make(out, (a, b), fn)
-
-
-def neg(a) -> Tensor:
-    return _make(-a.data, (a,), lambda g: (-g,))
 
 
 def mul(a, b) -> Tensor:

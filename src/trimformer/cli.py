@@ -5,8 +5,9 @@ deterministic, writes artifacts atomically, and exits 0 on success. A
 failure raises a typed ``TrimformerError`` (or ``OSError``), printed as one
 JSON error line on stderr, and exits 1.
 
-Metrics stream as JSON lines (one record per training step). The pipeline,
-from a text corpus (documents separated by blank lines)::
+``train`` and ``distill`` stream metrics to ``--metrics`` as JSON lines (one
+record per step). The pipeline, from a text corpus (documents separated by
+blank lines)::
 
     trimformer train --config exp.json --data corpus.txt --out model.ckpt
     trimformer importance --ckpt model.ckpt --data corpus.txt --out report.json
@@ -37,7 +38,7 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import TokenDataset, ingest_text, sample_calibration
 from .distill import CLM_ONLY, DistillConfig, check_train_args, default_layer_map, distill_loop
-from .errors import ConfigError, DataError, DivergenceError, TrimformerError
+from .errors import ConfigError, DivergenceError, TrimformerError
 from .importance import DEPTH_METRICS, AggregationSpec, ImportanceReport, compute_importance_report
 from .model import Model, ModelConfig, build_model, count_params, lm_loss
 from .pruning import apply_candidate
@@ -276,17 +277,18 @@ def cmd_eval(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--metrics", default=None, help="JSONL metrics path")
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    """The train keys as flags, None unless given, plus ``--eval-every``."""
+    """The train keys as flags, None unless given, plus ``--eval-every`` and
+    the ``--metrics`` JSONL path."""
     p.add_argument("--steps", type=int)
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--seq-len", dest="seq_len", type=int)
     p.add_argument("--lr-max", dest="lr_max", type=float)
     p.add_argument("--lr-min", dest="lr_min", type=float)
     p.add_argument("--eval-every", dest="eval_every", type=int, default=0)
+    p.add_argument("--metrics", default=None, help="JSONL metrics path")
 
 
 def build_parser() -> argparse.ArgumentParser:

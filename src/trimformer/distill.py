@@ -118,19 +118,6 @@ class SharedProjection:
         return ad.matmul(states, self.matrix)
 
 
-def softmax_t(logits, temperature: float):
-    """Temperature softmax. Tensor inputs stay on the graph; numpy inputs
-    use an equivalent stable numpy path."""
-    if temperature <= 0:
-        raise ConfigError(f"temperature must be positive, got {temperature}")
-    if isinstance(logits, Tensor):
-        scaled = logits if temperature == 1.0 else ad.mul(logits, 1.0 / temperature)
-        return ad.softmax(scaled)
-    x = np.asarray(logits) / temperature
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def _np_log_softmax(x: np.ndarray) -> np.ndarray:
     # Same association as the graph path (x - (lse + m)) so that identical
     # teacher/student logits produce a bitwise-zero divergence.
@@ -303,15 +290,13 @@ def total_loss(
     student: Model,
     cfg: DistillConfig,
     projection: SharedProjection | None = None,
-    alpha_override: float | None = None,
 ):
     """One training objective evaluation.
 
     Returns ``(loss, components)`` where components holds plain floats for
     logging, 0.0 for a term the config leaves out. Dynamic alpha is
-    computed from this step's values and treated as a constant;
-    ``alpha_override`` pins it (used by gradient checks). ``teacher`` is
-    only read when the config has teacher terms.
+    computed from this step's values and treated as a constant. ``teacher``
+    is only read when the config has teacher terms.
     """
     t_logits = t_acts = None
     if cfg.needs_teacher:
@@ -334,9 +319,7 @@ def total_loss(
         if projection is None:
             raise ConfigError("intermediate components need a SharedProjection")
         l_is = intermediate_loss(t_acts, s_acts, projection, cfg, student.config.d_head)
-        if alpha_override is not None:
-            alpha = alpha_override
-        elif cfg.alpha_mode == "constant":
+        if cfg.alpha_mode == "constant":
             alpha = cfg.alpha_const
         elif l_is.item() == 0.0:
             warnings.warn("L_is is zero; dynamic alpha forced to 0 this step")

@@ -1,12 +1,14 @@
 """Forward-pass-only importance estimation.
 
-Width axes (attention heads, MLP neurons, embedding channels) are scored
-from activations captured on a calibration batch; depth is scored either by
-the perplexity of the model with one block removed or by block influence
-(one minus the expected input/output cosine similarity). A report takes the
-width axes and every block influence from one streamed forward pass, plus
-the perplexity sweep. No API here ever records onto a gradient tape —
-callers inside a tape context get an error.
+:func:`compute_importance_report` is the one scorer. A single streamed,
+chunked forward pass over the calibration set scores every width axis
+(attention heads, MLP neurons, embedding channels) from its activations, and
+every depth criterion that compares block inputs: block influence (BI, one
+minus the expected input/output cosine similarity of a block) and the BI of
+any contiguous run of blocks. :func:`layer_importance_ppl` is its depth
+sweep: the perplexity of the model with one block removed, one evaluation
+per layer. No API here ever records onto a gradient tape — callers inside a
+tape context get an error.
 
 Per-head and per-neuron scores are ranked within their own layer; embedding
 channel scores are aggregated per LayerNorm site and then summed across all
@@ -98,15 +100,17 @@ def _cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return num / np.maximum(den, np.finfo(np.float64).tiny)
 
 
-def _calibration_pass(
-    model: Model, calib: np.ndarray, sites=(), spec: AggregationSpec | None = None,
-    pairs=(), chunk=32,
-) -> dict:
+# The width sites every calibration pass reduces, and the samples per chunk.
+_WIDTH_SITES = frozenset(("attn", "mlp_pre", "ln1", "ln2"))
+_CHUNK = 32
+
+
+def _calibration_pass(model: Model, calib: np.ndarray, spec: AggregationSpec, pairs) -> dict:
     """One chunked forward pass over the calibration set.
 
-    Each width site in ``sites`` is reduced as it is produced to per-sample
-    ``[B, C]`` sequence aggregates under ``spec.seq_fn`` (heads first take
-    the per-token L2 over ``d_head``); after the last chunk ``spec.batch_fn``
+    Each width site is reduced as it is produced to per-sample ``[B, C]``
+    sequence aggregates under ``spec.seq_fn`` (heads first take the
+    per-token L2 over ``d_head``); after the last chunk ``spec.batch_fn``
     collapses the samples, giving ``{(site, layer): [C]}``. Block inputs are
     held raw only within a chunk, for the per-token cosines behind the block
     influence ``{("bi", a, b): 1 - E[cos(X_a, X_b)]}`` of each pair in
@@ -121,7 +125,7 @@ def _calibration_pass(
     def tap(site, layer, value):
         if site == "x":
             return value.data if layer in blocks else None
-        if site not in sites:
+        if site not in _WIDTH_SITES:
             return None
         # astype keeps the memory order (head-major for "attn"), which fixes
         # the summation order of the reductions below.
@@ -131,8 +135,8 @@ def _calibration_pass(
         return _apply_agg(spec.seq_fn, values, axis=1)
 
     parts: dict = {}
-    for i in range(0, calib.shape[0], chunk):
-        _, acts = forward(model, calib[i : i + chunk], tap=tap)
+    for i in range(0, calib.shape[0], _CHUNK):
+        _, acts = forward(model, calib[i : i + _CHUNK], tap=tap)
         for a, b in pairs:
             acts[("bi", a, b)] = _cosine_rows(acts[("x", a)], acts[("x", b)])
         for key, value in acts.items():
@@ -165,43 +169,6 @@ def _emb_total(scores, num_layers: int, width: int) -> np.ndarray:
     return total
 
 
-def _check_block(n: int, start: int, length: int) -> None:
-    if length < 1 or start < 0 or start + length > n:
-        raise PruneError(f"block ({start}, {length}) out of range for {n} layers")
-
-
-def head_importance(
-    model: Model, calib: np.ndarray, spec: AggregationSpec
-) -> np.ndarray:
-    """Per-token L2 norm of each head's output vector (before the output
-    projection), aggregated to ``[layer, head]`` scores."""
-    _require_no_tape("head_importance")
-    cfg = model.config
-    scores = _calibration_pass(model, calib, {"attn"}, spec)
-    return _per_layer(scores, "attn", cfg.num_layers, cfg.num_heads)
-
-
-def neuron_importance(
-    model: Model, calib: np.ndarray, spec: AggregationSpec
-) -> np.ndarray:
-    """Pre-activation of each MLP hidden channel, aggregated per layer."""
-    _require_no_tape("neuron_importance")
-    cfg = model.config
-    scores = _calibration_pass(model, calib, {"mlp_pre"}, spec)
-    return _per_layer(scores, "mlp_pre", cfg.num_layers, cfg.d_hidden)
-
-
-def emb_importance(
-    model: Model, calib: np.ndarray, spec: AggregationSpec
-) -> np.ndarray:
-    """Per-channel score of every LayerNorm output, aggregated per site and
-    summed over all sites (both block norms plus the final norm)."""
-    _require_no_tape("emb_importance")
-    cfg = model.config
-    scores = _calibration_pass(model, calib, {"ln1", "ln2"}, spec)
-    return _emb_total(scores, cfg.num_layers, cfg.d_model)
-
-
 def layer_importance_ppl(model: Model, calib: np.ndarray) -> np.ndarray:
     """Perplexity of the model with each single block removed; higher means
     the block mattered more. One evaluation sweep per layer."""
@@ -214,23 +181,6 @@ def layer_importance_ppl(model: Model, calib: np.ndarray) -> np.ndarray:
             for i in range(model.config.num_layers)
         ]
     )
-
-
-def layer_importance_bi(model: Model, calib: np.ndarray) -> np.ndarray:
-    """Block influence: 1 - E[cos(X_i, X_{i+1})] over all (sample, token)
-    rows. All layers come from a single forward pass."""
-    _require_no_tape("layer_importance_bi")
-    pairs = [(i, i + 1) for i in range(model.config.num_layers)]
-    scores = _calibration_pass(model, calib, pairs=pairs)
-    return np.array([scores[("bi", *p)] for p in pairs])
-
-
-def block_bi(model: Model, calib: np.ndarray, start: int, length: int) -> float:
-    """Block influence of ``length`` contiguous blocks starting at ``start``."""
-    _require_no_tape("block_bi")
-    _check_block(model.config.num_layers, start, length)
-    scores = _calibration_pass(model, calib, pairs=[(start, start + length)])
-    return scores[("bi", start, start + length)]
 
 
 @dataclass
@@ -352,12 +302,11 @@ def compute_importance_report(
     cfg = model.config
     blocks = [(start, length) for start, length in blocks or []]
     for start, length in blocks:
-        _check_block(cfg.num_layers, start, length)
+        if length < 1 or start < 0 or start + length > cfg.num_layers:
+            raise PruneError(f"block ({start}, {length}) out of range for {cfg.num_layers} layers")
     adjacent = [(i, i + 1) for i in range(cfg.num_layers)] if include_bi else []
     block_pairs = [(s, s + ln) for s, ln in blocks]
-    scores = _calibration_pass(
-        model, calib, {"attn", "mlp_pre", "ln1", "ln2"}, spec, adjacent + block_pairs
-    )
+    scores = _calibration_pass(model, calib, spec, adjacent + block_pairs)
     return ImportanceReport(
         head_scores=_per_layer(scores, "attn", cfg.num_layers, cfg.num_heads),
         neuron_scores=_per_layer(scores, "mlp_pre", cfg.num_layers, cfg.d_hidden),

@@ -236,7 +236,7 @@ def apply_candidate(
     if n_remove < 0:
         raise PruneError("candidate has more layers than the source model")
     removed: list[int] = []
-    if n_remove > 0 and layers_to_remove is not None:
+    if layers_to_remove is not None:
         removed = sorted(set(layers_to_remove))
         if len(removed) != n_remove:
             raise PruneError(

@@ -123,6 +123,11 @@ CASES = {
         "--out {d}/o.ckpt",
         "ConfigError",
     ),
+    "remove_layers_at_kept_depth": (
+        "prune --ckpt {d}/model.ckpt --target {d}/target.json --remove-layers 1 "
+        "--out {d}/o.ckpt",
+        "PruneError",
+    ),
     "unknown_distill_config_key": (
         "distill --teacher {d}/model.ckpt --student {d}/model.ckpt "
         "--config {d}/bad_distill.json --data {d}/corpus.txt --out {d}/o.ckpt",
@@ -148,6 +153,19 @@ def test_malformed_input_gives_one_json_error_line(case, workdir, capsys):
     assert payload["error"] == error
     assert issubclass(getattr(errors, error), errors.TrimformerError)
     assert payload["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    "eval --ckpt m.ckpt --data c.txt",
+    "importance --ckpt m.ckpt --data c.txt --out r.json",
+    "prune --ckpt m.ckpt --out o.ckpt",
+    "search --space s.json --budget 1 --tolerance 0.1 --out c.json",
+])
+def test_metrics_flag_is_rejected_where_nothing_is_trained(argv, capsys):
+    with pytest.raises(SystemExit) as e:
+        cli.build_parser().parse_args(argv.split() + ["--metrics", "m.jsonl"])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --metrics" in capsys.readouterr().err
 
 
 def test_pipeline_recipe_end_to_end(tmp_path, capsys):

@@ -20,7 +20,6 @@ from trimformer.distill import (
     distill_loop,
     intermediate_loss,
     logit_loss,
-    softmax_t,
     total_loss,
 )
 from trimformer.errors import ConfigError, DataError, DivergenceError, ShapeError
@@ -40,37 +39,6 @@ def small_config(**kw):
 
 def t64(a):
     return Tensor(np.asarray(a, dtype=np.float64))
-
-
-# ---------------------------------------------------------------- softmax_t
-
-
-def test_softmax_t_unit_temperature_is_plain_softmax(rng):
-    x = rng.normal(size=(3, 7))
-    assert np.array_equal(softmax_t(t64(x), 1.0).data, ad.softmax(t64(x)).data)
-
-
-def test_softmax_t_flattens_with_temperature():
-    x = np.array([1.0, 0.0])
-    gaps = []
-    for tau in (1.0, 4.0, 16.0, 64.0):
-        p = softmax_t(x, tau)
-        gaps.append(abs(p[0] - 0.5))
-    assert gaps == sorted(gaps, reverse=True)
-    assert gaps[-1] < 0.01
-
-
-def test_softmax_t_closed_form():
-    p = softmax_t(np.array([2.0, 0.0]), 2.0)
-    e = math.e
-    assert np.allclose(p, [e / (e + 1), 1 / (e + 1)], atol=1e-12)
-
-
-def test_softmax_t_rejects_bad_temperature():
-    with pytest.raises(ConfigError):
-        softmax_t(np.zeros(3), 0.0)
-    with pytest.raises(ConfigError):
-        DistillConfig(temperature=-1.0)
 
 
 # ---------------------------------------------------------------- logit loss
@@ -332,12 +300,10 @@ def test_total_loss_gradient_matches_fd(rng):
     proj = SharedProjection(8, 16, dtype=np.float64)
     batch = rng.integers(0, 19, size=(1, 5))
     _, comps = total_loss(batch, teacher, student, full_cfg(), proj)
-    alpha0 = comps["alpha"]
+    pinned = full_cfg(alpha_mode="constant", alpha_const=comps["alpha"])
 
     def compute():
-        loss, _ = total_loss(
-            batch, teacher, student, full_cfg(), proj, alpha_override=alpha0
-        )
+        loss, _ = total_loss(batch, teacher, student, pinned, proj)
         return loss
 
     with Tape():
@@ -498,3 +464,5 @@ def test_config_roundtrips_and_validates():
         DistillConfig(is_components=("bogus",))
     with pytest.raises(ConfigError):
         DistillConfig(logit_loss=None, use_clm=False)
+    with pytest.raises(ConfigError):
+        DistillConfig(temperature=-1.0)

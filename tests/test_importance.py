@@ -11,14 +11,9 @@ from trimformer.importance import (
     ImportanceReport,
     _cosine_rows,
     aggregate,
-    block_bi,
     compute_importance_report,
-    emb_importance,
-    head_importance,
     iterative_importance,
-    layer_importance_bi,
     layer_importance_ppl,
-    neuron_importance,
 )
 from trimformer.model import ModelConfig, build_model, perplexity
 from trimformer.pruning import apply_candidate
@@ -37,6 +32,14 @@ def small_model(seed=0, dtype=np.float64, **kw):
 
 def toks(n, s, v=19, seed=0):
     return np.random.default_rng(seed).integers(0, v, size=(n, s))
+
+
+def report(m, calib, spec=None, include_bi=False, blocks=None):
+    """The importance report without the perplexity sweep, and without BI
+    unless asked."""
+    return compute_importance_report(
+        m, calib, spec, include_ppl=False, include_bi=include_bi, blocks=blocks
+    )
 
 
 # ---------------------------------------------------------------- aggregate
@@ -111,7 +114,7 @@ def test_dead_head_scores_zero_and_ranks_last():
     dh = m.config.d_head
     # Zero the value projection feeding head 1 (group 0 serves heads 0-1).
     m.params["layers.0.attn.wv"].data[0:dh] = 0.0
-    scores = head_importance(m, toks(4, 8), AggregationSpec())
+    scores = report(m, toks(4, 8), AggregationSpec()).head_scores
     assert scores[0, 0] == 0.0 and scores[0, 1] == 0.0
     report_rank = np.argsort(-scores[0], kind="stable")
     assert set(report_rank[-2:]) == {0, 1}
@@ -122,7 +125,7 @@ def test_duplicated_heads_score_identically():
     dh = m.config.d_head
     wq = m.params["layers.0.attn.wq"].data
     wq[dh : 2 * dh] = wq[0:dh]  # heads 0 and 1 share group 0's k/v
-    scores = head_importance(m, toks(4, 8), AggregationSpec())
+    scores = report(m, toks(4, 8), AggregationSpec()).head_scores
     assert scores[0, 0] == pytest.approx(scores[0, 1], rel=1e-9)
 
 
@@ -130,7 +133,7 @@ def test_head_importance_vs_straight_line_recompute():
     m = small_model(num_layers=1)
     calib = toks(3, 6)
     spec = AggregationSpec("l2", "mean_abs")
-    scores = head_importance(m, calib, spec)
+    scores = report(m, calib, spec).head_scores
     _, trace = oracle.reference_forward(m, calib, return_trace=True)
     per_tok = np.sqrt((trace["attn_head_out"][0] ** 2).sum(axis=-1))  # [B,S,H]
     for h in range(m.config.num_heads):
@@ -141,7 +144,7 @@ def test_head_importance_vs_straight_line_recompute():
 def test_dead_neuron_scores_zero():
     m = small_model()
     m.params["layers.1.mlp.w1"].data[5] = 0.0
-    scores = neuron_importance(m, toks(4, 8), AggregationSpec())
+    scores = report(m, toks(4, 8), AggregationSpec()).neuron_scores
     assert scores[1, 5] == 0.0
     assert (scores[1, :5] > 0).all()
 
@@ -150,10 +153,10 @@ def test_neuron_score_homogeneity_and_rank_shift():
     m = small_model()
     calib = toks(4, 8)
     for spec in (AggregationSpec("l2", "l2"), AggregationSpec("mean_abs", "mean_abs")):
-        base = neuron_importance(m, calib, spec)
+        base = report(m, calib, spec).neuron_scores
         scaled = small_model()
         scaled.params["layers.0.mlp.w1"].data[7] *= 3.0
-        after = neuron_importance(scaled, calib, spec)
+        after = report(scaled, calib, spec).neuron_scores
         assert after[0, 7] == pytest.approx(3.0 * base[0, 7], rel=1e-6)
         others = [i for i in range(scaled.config.d_hidden) if i != 7]
         assert np.allclose(after[0, others], base[0, others], rtol=1e-9)
@@ -164,7 +167,7 @@ def test_neuron_importance_vs_straight_line_recompute():
     m = small_model(num_layers=1)
     calib = toks(2, 5)
     spec = AggregationSpec("variance", "l2")
-    scores = neuron_importance(m, calib, spec)
+    scores = report(m, calib, spec).neuron_scores
     _, trace = oracle.reference_forward(m, calib, return_trace=True)
     pre = trace["mlp_pre"][0]
     for i in (0, 9, 31):
@@ -178,7 +181,7 @@ def test_dead_embedding_channel_scores_zero():
     for name, p in m.params.items():
         if name.endswith("gamma") or name.endswith("beta"):
             p.data[ch] = 0.0
-    scores = emb_importance(m, toks(4, 8), AggregationSpec())
+    scores = report(m, toks(4, 8), AggregationSpec()).emb_scores
     assert scores[ch] == 0.0
     assert (np.delete(scores, ch) > 0).all()
 
@@ -187,7 +190,7 @@ def test_emb_importance_vs_straight_line_recompute():
     m = small_model(num_layers=1)
     calib = toks(2, 5)
     spec = AggregationSpec("l2", "mean_abs")
-    scores = emb_importance(m, calib, spec)
+    scores = report(m, calib, spec).emb_scores
     _, trace = oracle.reference_forward(m, calib, return_trace=True)
     for ch in (0, 7, 15):
         want = 0.0
@@ -213,8 +216,8 @@ def test_emb_scores_permutation_equivariant():
     calib = toks(4, 8)
     perm = np.random.default_rng(2).permutation(m.config.d_model)
     permuted = _permute_embedding_channels(m, perm)
-    base = emb_importance(m, calib, AggregationSpec())
-    moved = emb_importance(permuted, calib, AggregationSpec())
+    base = report(m, calib, AggregationSpec()).emb_scores
+    moved = report(permuted, calib, AggregationSpec()).emb_scores
     assert np.allclose(moved, base[perm], rtol=1e-9)
     assert np.array_equal(np.argsort(-moved, kind="stable"), _inverse_rank(base, perm))
 
@@ -230,14 +233,14 @@ def test_head_scores_permutation_equivariant_within_group():
     m = small_model()
     calib = toks(4, 8)
     dh = m.config.d_head
-    base = head_importance(m, calib, AggregationSpec())
+    base = report(m, calib, AggregationSpec()).head_scores
     swapped = m.copy()
     wq = swapped.params["layers.0.attn.wq"].data
     wo = swapped.params["layers.0.attn.wo"].data
     # swap heads 0 and 1 (same group): q rows and output-projection rows
     wq[[*range(0, dh), *range(dh, 2 * dh)]] = wq[[*range(dh, 2 * dh), *range(0, dh)]]
     wo[[*range(0, dh), *range(dh, 2 * dh)]] = wo[[*range(dh, 2 * dh), *range(0, dh)]]
-    after = head_importance(swapped, calib, AggregationSpec())
+    after = report(swapped, calib, AggregationSpec()).head_scores
     assert after[0, 0] == pytest.approx(base[0, 1], rel=1e-9)
     assert after[0, 1] == pytest.approx(base[0, 0], rel=1e-9)
 
@@ -284,7 +287,7 @@ def test_bi_identity_block_is_zero():
     m = small_model(num_layers=3)
     m.params["layers.1.attn.wo"].data[:] = 0
     m.params["layers.1.mlp.w2"].data[:] = 0
-    scores = layer_importance_bi(m, toks(4, 8))
+    scores = report(m, toks(4, 8), include_bi=True).layer_scores_bi
     assert abs(scores[1]) < 1e-9
     assert scores[0] > 1e-4 and scores[2] > 1e-4
 
@@ -300,7 +303,7 @@ def test_block_bi_vs_direct_cosine_oracle():
     calib = toks(3, 6)
     _, trace = oracle.reference_forward(m, calib, return_trace=True)
     for start, length in ((0, 1), (1, 2), (0, 3)):
-        got = block_bi(m, calib, start, length)
+        got = report(m, calib, blocks=[(start, length)]).block_bi_scores[(start, length)]
         a = trace["block_inputs"][start].reshape(-1, 16)
         b = trace["block_inputs"][start + length].reshape(-1, 16)
         cos = [
@@ -308,17 +311,17 @@ def test_block_bi_vs_direct_cosine_oracle():
             for x, y in zip(a, b)
         ]
         assert got == pytest.approx(1.0 - np.mean(cos), rel=1e-9)
-    assert layer_importance_bi(m, calib)[1] == pytest.approx(
-        block_bi(m, calib, 1, 1), rel=1e-12
+    assert report(m, calib, include_bi=True).layer_scores_bi[1] == pytest.approx(
+        report(m, calib, blocks=[(1, 1)]).block_bi_scores[(1, 1)], rel=1e-12
     )
 
 
 def test_block_bi_range_errors():
     m = small_model()
     with pytest.raises(PruneError):
-        block_bi(m, toks(2, 6), 1, 2)
+        report(m, toks(2, 6), blocks=[(1, 2)])
     with pytest.raises(PruneError):
-        block_bi(m, toks(2, 6), -1, 1)
+        report(m, toks(2, 6), blocks=[(-1, 1)])
 
 
 # ---------------------------------------------------------------- tape guard
@@ -329,9 +332,9 @@ def test_importance_refuses_active_tape():
     calib = toks(2, 6)
     with ad.Tape():
         with pytest.raises(ConfigError):
-            head_importance(m, calib, AggregationSpec())
+            compute_importance_report(m, calib, AggregationSpec()).head_scores
         with pytest.raises(ConfigError):
-            layer_importance_bi(m, calib)
+            layer_importance_ppl(m, calib)
 
 
 def test_importance_records_no_tape_nodes():

@@ -3,7 +3,6 @@ import pytest
 
 from trimformer.errors import ConfigError, PruneError
 from trimformer.importance import (
-    AggregationSpec,
     ImportanceReport,
     compute_importance_report,
     iterative_importance,
@@ -481,6 +480,14 @@ def test_apply_candidate_explicit_layers():
         apply_candidate(m, candidate, None, layers_to_remove=[1])
     with pytest.raises(PruneError):
         apply_candidate(m, candidate, None)  # needs rankings for depth choice
+
+
+def test_apply_candidate_checks_the_layer_list_at_kept_depth():
+    m = build_model(small_config(num_layers=3), seed=24)
+    for layers in ([1, 99], [1]):
+        with pytest.raises(PruneError):
+            apply_candidate(m, m.config, None, layers_to_remove=layers)
+    assert_bit_identical(apply_candidate(m, m.config, None, layers_to_remove=[]), m)
 
 
 def test_apply_candidate_uses_least_important_layers():
