@@ -3,7 +3,9 @@
 Just enough operator coverage for a decoder-only transformer: matmul,
 elementwise arithmetic, reductions, softmax / log-softmax / logsumexp,
 layer norm, embedding lookup, gather along the vocab axis, rotary position
-twiddles and cross-entropy.
+twiddles, cross-entropy and fused :func:`causal_attention`, one node from
+scores to per-head output. Every weight product (a 2-D right operand) runs
+as one 2-D GEMM over the left operand's folded leading axes.
 
 Recording model: ops run eagerly on numpy arrays. When a :class:`Tape` is
 active on the current thread *and* an input participates in the graph, the
@@ -18,6 +20,7 @@ produce bit-identical outputs within one build.
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -334,18 +337,6 @@ def transpose(a: Tensor, axes) -> Tensor:
     return _make(a.data.transpose(axes), (a,), fn)
 
 
-def repeat(a: Tensor, repeats: int, axis: int) -> Tensor:
-    """Tile each slice along ``axis`` ``repeats`` times (kv-group expansion)."""
-    out = np.repeat(a.data, repeats, axis=axis)
-    shape = a.data.shape
-
-    def fn(g):
-        gshape = shape[:axis] + (shape[axis], repeats) + shape[axis + 1 :]
-        return (g.reshape(gshape).sum(axis=axis + 1),)
-
-    return _make(out, (a,), fn)
-
-
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -382,7 +373,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     Supports plain 2-D products, a stack of left operands against a 2-D
     right operand, and batched products with identical leading extents.
-    No other broadcasting.
+    No other broadcasting. A 2-D right operand makes one 2-D GEMM.
     """
     ad, bd = a.data, b.data
     if ad.ndim < 2 or bd.ndim < 2:
@@ -391,14 +382,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul inner extents differ: {ad.shape} @ {bd.shape}")
     if bd.ndim > 2 and ad.shape[:-2] != bd.shape[:-2]:
         raise ShapeError(f"matmul leading extents differ: {ad.shape} @ {bd.shape}")
-    out = np.matmul(ad, bd)
+    if bd.ndim == 2:
+        k, n = bd.shape
+        out = np.matmul(ad.reshape(-1, k), bd).reshape(ad.shape[:-1] + (n,))
+    else:
+        out = np.matmul(ad, bd)
 
     def fn(g):
-        ga = np.matmul(g, bd.swapaxes(-1, -2))
         if bd.ndim == 2:
-            k, n = bd.shape
+            ga = np.matmul(g.reshape(-1, n), bd.T).reshape(ad.shape)
             gb = np.matmul(ad.reshape(-1, k).T, g.reshape(-1, n))
         else:
+            ga = np.matmul(g, bd.swapaxes(-1, -2))
             gb = np.matmul(ad.swapaxes(-1, -2), g)
         return ga, gb
 
@@ -441,17 +436,65 @@ def gather_last(a: Tensor, idx: np.ndarray) -> Tensor:
 # normalizations and losses
 
 
+def _softmax_rows(x: np.ndarray, out=None) -> np.ndarray:
+    """Max-stabilized softmax over the last axis, into ``out`` (may be ``x``)."""
+    out = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
+
+
+def _softmax_rows_grad(g: np.ndarray, p: np.ndarray, out=None) -> np.ndarray:
+    """Softmax backward ``(g - sum(g * p)) * p``, into ``out`` (may be ``g``)."""
+    out = np.subtract(g, (g * p).sum(axis=-1, keepdims=True), out=out)
+    out *= p
+    return out
+
+
 def softmax(a: Tensor) -> Tensor:
     """Row softmax over the last axis, stabilized by max subtraction."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = _softmax_rows(a.data)
 
     def fn(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return ((g - dot) * out,)
+        return (_softmax_rows_grad(g, out),)
 
     return _make(out, (a,), fn)
+
+
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray) -> Tensor:
+    """``softmax(q kᵀ / sqrt(d) + mask) v`` per head, as one node.
+
+    ``q`` is ``[B, H, S, d]``, ``k`` and ``v`` ``[B, G, S, d]`` (each of
+    the ``G`` key/value heads serves ``H / G`` consecutive query heads), and
+    ``mask`` an additive ``[S, S]`` constant. A group's query heads are read
+    as one ``[(H / G)·S, d]`` operand: no key/value copies, and their
+    gradients sum over the group inside one GEMM. Dense FlashAttention
+    backward (arXiv 2205.14135); scale, mask and softmax run in place.
+    """
+    b, h, s, d = q.shape
+    grp = k.shape[1]
+    if k.shape != (b, grp, s, d) or v.shape != k.shape or h % grp:
+        raise ShapeError(f"attention shapes disagree: q {q.shape}, k {k.shape}, v {v.shape}")
+    scale = 1.0 / math.sqrt(d)
+    qg = q.data.reshape(b, grp, (h // grp) * s, d)
+    p = np.matmul(qg, k.data.swapaxes(-1, -2))
+    p *= scale
+    heads = p.reshape(b, grp, h // grp, s, s)  # a view: matmul output is contiguous
+    heads += mask
+    _softmax_rows(p, out=p)
+    out = np.matmul(p, v.data).reshape(b, h, s, d)
+
+    def fn(g):
+        gg = g.reshape(b, grp, (h // grp) * s, d)
+        gv = np.matmul(p.swapaxes(-1, -2), gg)
+        gp = np.matmul(gg, v.data.swapaxes(-1, -2))
+        gs = _softmax_rows_grad(gp, p, out=gp)
+        gs *= scale
+        gq = np.matmul(gs, k.data).reshape(b, h, s, d)
+        gk = np.matmul(gs.swapaxes(-1, -2), qg)
+        return gq, gk, gv
+
+    return _make(out, (q, k, v), fn)
 
 
 def log_softmax(a: Tensor) -> Tensor:
@@ -487,10 +530,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     d = x.data.shape[-1]
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ShapeError("layer_norm parameter extents do not match input width")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = np.square(xc).mean(axis=-1, keepdims=True)  # np.var's steps, so bit-identical to it
     inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.data.dtype))
-    xhat = (x.data - mu) * inv
+    xhat = xc * inv
     out = xhat * gamma.data + beta.data
 
     def fn(g):

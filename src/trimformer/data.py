@@ -59,9 +59,6 @@ class TokenDataset:
             self._split_cache[split] = np.concatenate(parts)
         return self._split_cache[split]
 
-    def checksum(self) -> str:
-        return hashlib.sha256(self.ids.astype("<u4").tobytes()).hexdigest()
-
     def save(self, path: str) -> None:
         manifest = {
             "vocab_size": self.vocab_size,

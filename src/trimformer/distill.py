@@ -126,10 +126,6 @@ def _np_log_softmax(x: np.ndarray) -> np.ndarray:
     return x - lse
 
 
-def _mean_all(t: Tensor) -> Tensor:
-    return ad.mean(t)
-
-
 def logit_loss(teacher_logits, student_logits: Tensor, cfg: DistillConfig) -> Tensor:
     """Per-token divergence between temperature-softened distributions,
     averaged over batch and sequence.
@@ -164,20 +160,20 @@ def logit_loss(teacher_logits, student_logits: Tensor, cfg: DistillConfig) -> Te
         # matching distributions yield exactly-zero gradients.
         entropy = (t_prob * t_logp).sum(axis=-1)
         cross = ad.soft_cross_entropy(s_scaled, t_prob)
-        return _mean_all(ad.add(Tensor._wrap(entropy), cross))
+        return ad.mean(ad.add(Tensor._wrap(entropy), cross))
 
     s_logp = ad.sub(s_scaled, ad.logsumexp(s_scaled, keepdims=True))
     if cfg.logit_loss == "rkld":
         s_prob = ad.exp(s_logp)
         gap = ad.sub(s_logp, Tensor._wrap(t_logp))
-        return _mean_all(ad.tsum(ad.mul(s_prob, gap), axis=-1))
+        return ad.mean(ad.tsum(ad.mul(s_prob, gap), axis=-1))
     if cfg.logit_loss == "mse":
         s_prob = ad.exp(s_logp)
         diff = ad.sub(s_prob, Tensor._wrap(t_prob))
-        return _mean_all(ad.mean(ad.mul(diff, diff), axis=-1))
+        return ad.mean(ad.mean(ad.mul(diff, diff), axis=-1))
     if cfg.logit_loss == "cosine":
         s_prob = ad.exp(s_logp)
-        return _mean_all(_one_minus_cosine(t_prob, s_prob))
+        return ad.mean(_one_minus_cosine(t_prob, s_prob))
     raise ConfigError(f"no logit loss selected ({cfg.logit_loss!r})")
 
 
@@ -197,9 +193,9 @@ def _state_loss(teacher_state: np.ndarray, student_state: Tensor, loss_fn: str) 
             f"{teacher_state.shape} vs student {tuple(student_state.shape)}"
         )
     if loss_fn == "cosine":
-        return _mean_all(_one_minus_cosine(teacher_state, student_state))
+        return ad.mean(_one_minus_cosine(teacher_state, student_state))
     diff = ad.sub(student_state, Tensor._wrap(teacher_state))
-    return _mean_all(ad.mul(diff, diff))
+    return ad.mean(ad.mul(diff, diff))
 
 
 def _relation_kld(teacher_states: np.ndarray, student_states, d_head: int) -> Tensor:
@@ -222,7 +218,7 @@ def _relation_kld(teacher_states: np.ndarray, student_states, d_head: int) -> Te
         Tensor._wrap((t_rel * t_logrel).sum(axis=-1)),
         ad.tsum(ad.mul(Tensor._wrap(t_rel), s_logrel), axis=-1),
     )
-    return _mean_all(kld)
+    return ad.mean(kld)
 
 
 def intermediate_loss(

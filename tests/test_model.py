@@ -298,3 +298,12 @@ def test_full_transformer_gradient_vs_finite_differences():
         lambda: lm_loss(m, toks).item(), m.trainable(), h=1e-5, tol=1e-4
     )
     assert worst < 1e-4
+
+
+def test_toy_lm_loss_node_count(toy_config):
+    # Pins the graph size: one fused attention node per block and one
+    # matmul per weight product.
+    m = build_model(toy_config, seed=0)
+    with ad.Tape() as tape:
+        lm_loss(m, np.zeros((2, 8), dtype=int))
+    assert len(tape.nodes) == 112
