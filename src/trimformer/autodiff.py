@@ -3,9 +3,10 @@
 Just enough operator coverage for a decoder-only transformer: matmul,
 elementwise arithmetic, reductions, softmax / log-softmax / logsumexp,
 layer norm, embedding lookup, gather along the vocab axis, rotary position
-twiddles, cross-entropy and fused :func:`causal_attention`, one node from
-scores to per-head output. Every weight product (a 2-D right operand) runs
-as one 2-D GEMM over the left operand's folded leading axes.
+twiddles, cross-entropy over a prefix of the positions (next-token targets
+meet the full logits, unsliced) and fused :func:`causal_attention`, one
+node from scores to per-head output. Every weight product (a 2-D right
+operand) runs as one 2-D GEMM over the left operand's folded leading axes.
 
 Recording model: ops run eagerly on numpy arrays. When a :class:`Tape` is
 active on the current thread *and* an input participates in the graph, the
@@ -86,9 +87,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor._wrap(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -592,10 +590,14 @@ def soft_cross_entropy(logits: Tensor, probs: np.ndarray) -> Tensor:
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood of integer ``targets`` over the last axis."""
+    """Mean negative log-likelihood of integer ``targets`` ``[B, T]`` at the
+    first ``T <= S`` positions of ``logits`` ``[B, S, V]``; positions
+    ``T..S-1`` get exactly zero gradient."""
     targets = np.asarray(targets)
-    v = logits.data.shape[-1]
-    if targets.shape != logits.data.shape[:-1]:
+    if logits.ndim != 3:
+        raise ShapeError(f"cross_entropy needs [B, S, V] logits, got {logits.data.shape}")
+    b, s, v = logits.data.shape
+    if targets.ndim != 2 or targets.shape[0] != b or targets.shape[1] > s:
         raise ShapeError(
             f"targets shape {targets.shape} does not match logits {logits.data.shape}"
         )
@@ -603,7 +605,8 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
         raise DataError("cross_entropy on an empty batch")
     if targets.min() < 0 or targets.max() >= v:
         raise DataError(f"token id out of range [0, {v})")
-    flat = logits.data.reshape(-1, v)
+    scored = targets.shape[1]
+    flat = logits.data[:, :scored].reshape(-1, v)
     t = targets.reshape(-1)
     shifted = flat - flat.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
@@ -614,6 +617,8 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     def fn(g):
         sm = np.exp(logp)
         sm[np.arange(n), t] -= 1.0
-        return ((g / n) * sm.reshape(logits.data.shape),)
+        gl = np.zeros_like(logits.data)
+        gl[:, :scored] = (g / n) * sm.reshape(b, scored, v)
+        return (gl,)
 
     return _make(out, (logits,), fn)

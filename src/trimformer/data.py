@@ -117,7 +117,9 @@ def ingest_text(path: str, seed: int = 0, val_fraction: float = 0.1) -> TokenDat
 def sample_calibration(
     dataset: TokenDataset, n: int, seq_len: int, seed: int, split: str = "train"
 ) -> np.ndarray:
-    """``n`` distinct windows of ``seq_len`` tokens, drawn without replacement."""
+    """``n >= 1`` distinct windows of ``seq_len >= 1`` tokens, drawn without replacement."""
+    if n < 1 or seq_len < 1:
+        raise DataError(f"calibration needs n >= 1 and seq_len >= 1, got n={n}, seq_len={seq_len}")
     stream = dataset.split_ids(split)
     n_starts = stream.size - seq_len + 1
     if n_starts < n:

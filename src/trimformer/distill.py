@@ -26,11 +26,19 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import TokenDataset, sample_batch
 from .errors import ConfigError, DataError, DivergenceError, ShapeError
-from .model import Model, forward, lm_loss, slice_positions
+from .model import Model, forward, lm_loss
 
 LOGIT_LOSSES = ("kld", "rkld", "mse", "cosine")
 IS_LOSSES = ("cosine", "mse")
 IS_COMPONENTS = ("emb", "o", "i", "att")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value, low: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
 
 
 @dataclass(frozen=True)
@@ -54,17 +62,26 @@ class DistillConfig:
     alpha_const: float = 1.0
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
-        if self.logit_loss is not None and self.logit_loss not in LOGIT_LOSSES:
-            raise ConfigError(f"logit_loss must be one of {LOGIT_LOSSES} or null")
-        if self.is_loss_fn not in IS_LOSSES:
-            raise ConfigError(f"is_loss_fn must be one of {IS_LOSSES}")
-        unknown = set(self.is_components) - set(IS_COMPONENTS)
-        if unknown:
-            raise ConfigError(f"unknown intermediate components {sorted(unknown)}")
-        if self.alpha_mode not in ("dynamic", "constant"):
-            raise ConfigError("alpha_mode must be 'dynamic' or 'constant'")
+        for name, ok, want in (
+            ("logit_loss", self.logit_loss is None or self.logit_loss in LOGIT_LOSSES,
+             f"one of {LOGIT_LOSSES} or null"),
+            ("temperature", _is_number(self.temperature) and self.temperature > 0,
+             "a positive number"),
+            ("top_k", self.top_k is None or _is_int(self.top_k, 1), "an integer >= 1 or null"),
+            ("use_clm", isinstance(self.use_clm, bool), "true or false"),
+            ("is_components", isinstance(self.is_components, (list, tuple))
+             and all(c in IS_COMPONENTS for c in self.is_components),
+             f"a list of names from {IS_COMPONENTS}"),
+            ("layer_map", isinstance(self.layer_map, (list, tuple)) and all(
+                isinstance(p, (list, tuple)) and len(p) == 2 and all(_is_int(i, 0) for i in p)
+                for p in self.layer_map
+            ), "a list of [teacher_layer, student_layer] block indices >= 0"),
+            ("is_loss_fn", self.is_loss_fn in IS_LOSSES, f"one of {IS_LOSSES}"),
+            ("alpha_mode", self.alpha_mode in ("dynamic", "constant"), "'dynamic' or 'constant'"),
+            ("alpha_const", _is_number(self.alpha_const), "a number"),
+        ):
+            if not ok:
+                raise ConfigError(f"{name} must be {want}, got {getattr(self, name)!r}")
         if not self.use_clm and self.logit_loss is None and not self.is_components:
             raise ConfigError("config enables no loss terms")
         object.__setattr__(self, "is_components", tuple(self.is_components))
@@ -84,11 +101,6 @@ class DistillConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DistillConfig":
-        d = dict(d)
-        if "layer_map" in d:
-            d["layer_map"] = tuple(tuple(p) for p in d["layer_map"])
-        if "is_components" in d:
-            d["is_components"] = tuple(d["is_components"])
         try:
             return cls(**d)
         except TypeError as e:  # unknown or mistyped keys
@@ -126,27 +138,25 @@ def _np_log_softmax(x: np.ndarray) -> np.ndarray:
     return x - lse
 
 
-def logit_loss(teacher_logits, student_logits: Tensor, cfg: DistillConfig) -> Tensor:
-    """Per-token divergence between temperature-softened distributions,
-    averaged over batch and sequence.
+def logit_loss(teacher_logits: np.ndarray, student_logits: Tensor, cfg: DistillConfig) -> Tensor:
+    """Per-token divergence between the temperature-softened distributions
+    of constant teacher logits and the student's, averaged over batch and
+    sequence.
 
     ``top_k`` restricts both sides to the teacher's top-k token ids
     (renormalized); ``top_k >= vocab`` is exactly the unrestricted loss.
     """
-    t_data = teacher_logits.data if isinstance(teacher_logits, Tensor) else np.asarray(teacher_logits)
-    if t_data.shape != tuple(student_logits.shape):
+    if teacher_logits.shape != tuple(student_logits.shape):
         raise ShapeError(
-            f"teacher logits {t_data.shape} vs student {tuple(student_logits.shape)}"
+            f"teacher logits {teacher_logits.shape} vs student {tuple(student_logits.shape)}"
         )
     tau = cfg.temperature
-    vocab = t_data.shape[-1]
-    t_scaled = t_data / tau
+    vocab = teacher_logits.shape[-1]
+    t_scaled = teacher_logits / tau
     s_scaled = ad.mul(student_logits, 1.0 / tau) if tau != 1.0 else student_logits
 
     if cfg.top_k is not None and cfg.top_k < vocab:
         k = cfg.top_k
-        if k < 1:
-            raise ConfigError("top_k must be >= 1")
         idx = np.argpartition(-t_scaled, k - 1, axis=-1)[..., :k]
         idx = np.sort(idx, axis=-1)  # deterministic id order
         t_scaled = np.take_along_axis(t_scaled, idx, axis=-1)
@@ -305,11 +315,10 @@ def total_loss(
     )
     terms: list[Tensor] = []
     if cfg.use_clm:
-        shifted = slice_positions(s_logits, 0, s_logits.shape[1] - 1)
-        terms.append(ad.cross_entropy(shifted, batch[:, 1:]))
+        terms.append(ad.cross_entropy(s_logits, batch[:, 1:]))
         components["loss_clm"] = terms[-1].item()
     if cfg.logit_loss is not None:
-        terms.append(logit_loss(t_logits.detach(), s_logits, cfg))
+        terms.append(logit_loss(t_logits.data, s_logits, cfg))
         components["loss_logits"] = terms[-1].item()
     if cfg.is_components:
         if projection is None:
@@ -384,10 +393,10 @@ def check_train_args(steps, batch_size, seq_len, lr_max, lr_min) -> None:
     learning rates are numbers."""
     for name, value, low in (("steps", steps, 0), ("batch_size", batch_size, 1),
                              ("seq_len", seq_len, 2)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        if not _is_int(value, low):
             raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
     for name, value in (("lr_max", lr_max), ("lr_min", lr_min)):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not _is_number(value):
             raise ConfigError(f"{name} must be a number, got {value!r}")
 
 

@@ -314,29 +314,11 @@ def lm_loss(
     if tokens.ndim != 2 or tokens.shape[1] < 2:
         raise DataError("lm_loss needs [batch, seq>=2] token arrays")
     logits, _ = forward(model, tokens, skip_layers=skip_layers)
-    return ad.cross_entropy(slice_positions(logits, 0, logits.shape[1] - 1), tokens[:, 1:])
-
-
-def slice_positions(logits: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous slice along the sequence axis, grad-aware."""
-    b, s, v = logits.shape
-    flat = ad.reshape(logits, (b * s, v))
-    rows = (np.arange(b)[:, None] * s + np.arange(start, stop)[None, :]).reshape(-1)
-    return ad.reshape(ad.embedding(flat, rows), (b, stop - start, v))
+    return ad.cross_entropy(logits, tokens[:, 1:])
 
 
 def perplexity(
-    model: Model, data, skip_layers: frozenset | set = frozenset()
+    model: Model, tokens: np.ndarray, skip_layers: frozenset | set = frozenset()
 ) -> float:
-    """exp(mean next-token NLL) over one token array or an iterable of them."""
-    batches = [data] if isinstance(data, np.ndarray) else list(data)
-    if not batches:
-        raise DataError("perplexity of an empty dataset")
-    total_nll = 0.0
-    total_tokens = 0
-    for batch in batches:
-        batch = np.asarray(batch)
-        n = batch.shape[0] * (batch.shape[1] - 1)
-        total_nll += lm_loss(model, batch, skip_layers=skip_layers).item() * n
-        total_tokens += n
-    return math.exp(total_nll / total_tokens)
+    """``exp(lm_loss)`` over one ``[batch, seq>=2]`` token array."""
+    return math.exp(lm_loss(model, tokens, skip_layers=skip_layers).item())

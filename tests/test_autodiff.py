@@ -174,6 +174,45 @@ def test_cross_entropy_bad_targets():
         ad.cross_entropy(logits, np.array([[0, 4]]))
 
 
+def test_cross_entropy_prefix_equals_sliced_logits(rng):
+    # Targets one shorter than the logits score the first S-1 positions:
+    # the same loss as slicing the logits, bit for bit, with an exactly
+    # zero gradient on the unscored last position.
+    for dtype in (np.float32, np.float64):
+        logits = (rng.normal(size=(3, 5, 11)) * 2).astype(dtype)
+        targets = rng.integers(0, 11, size=(3, 4))
+        full = Tensor(logits, requires_grad=True)
+        sliced = Tensor(logits[:, :-1], requires_grad=True)
+        with Tape():
+            got = ad.cross_entropy(full, targets)
+        with Tape():
+            want = ad.cross_entropy(sliced, targets)
+        assert got.data.tobytes() == want.data.tobytes()
+        ad.backward(got)
+        ad.backward(want)
+        assert full.grad.shape == logits.shape
+        assert np.array_equal(full.grad[:, :-1], sliced.grad)
+        assert not full.grad[:, -1].any()
+
+
+def test_cross_entropy_prefix_gradient_vs_finite_differences(rng):
+    logits = t64(rng.normal(size=(2, 4, 6)), requires_grad=True)
+    targets = rng.integers(0, 6, size=(2, 2))
+    with Tape():
+        loss = ad.cross_entropy(logits, targets)
+    ad.backward(loss)
+    oracle.check_fd(
+        lambda: ad.cross_entropy(logits, targets).item(), {"logits": logits}, h=1e-5, tol=1e-6
+    )
+
+
+def test_cross_entropy_rejects_misshapen_targets():
+    logits = t64(np.zeros((2, 3, 4)))
+    for targets in (np.zeros((2, 4)), np.zeros((1, 3)), np.zeros(3), np.zeros((2, 3, 1))):
+        with pytest.raises(ShapeError):
+            ad.cross_entropy(logits, targets.astype(np.int64))
+
+
 # ---------------------------------------------------------------- tape & backward
 
 

@@ -32,6 +32,8 @@ def workdir(tmp_path_factory):
         "train_list.json": {"model": MODEL, "train": [1]},
         "train_typo.json": {"model": MODEL, "train": {"stepz": 1}},
         "distill_list.json": {"distill": ["kld"]},
+        "triple_layer_map.json": {"distill": {"is_components": ["o"], "layer_map": [[1, 2, 3]]}},
+        "string_top_k.json": {"distill": {"top_k": "5"}},
         "float_width.json": {"model": {**MODEL, "d_model": 16.0}},
         "string_steps.json": {"model": MODEL, "train": {"steps": "3"}},
         "zero_batch.json": {"model": MODEL, "train": {"steps": 1, "batch_size": 0}},
@@ -132,6 +134,30 @@ CASES = {
         "distill --teacher {d}/model.ckpt --student {d}/model.ckpt "
         "--config {d}/bad_distill.json --data {d}/corpus.txt --out {d}/o.ckpt",
         "ConfigError",
+    ),
+    "distill_layer_map_pair_of_three": (
+        "distill --teacher {d}/model.ckpt --student {d}/model.ckpt "
+        "--config {d}/triple_layer_map.json --data {d}/corpus.txt --out {d}/o.ckpt",
+        "ConfigError",
+    ),
+    "distill_top_k_a_string": (
+        "distill --teacher {d}/model.ckpt --student {d}/model.ckpt "
+        "--config {d}/string_top_k.json --data {d}/corpus.txt --out {d}/o.ckpt",
+        "ConfigError",
+    ),
+    "eval_zero_samples": (
+        "eval --ckpt {d}/model.ckpt --data {d}/corpus.txt --samples 0",
+        "DataError",
+    ),
+    "importance_zero_samples": (
+        "importance --ckpt {d}/model.ckpt --data {d}/corpus.txt --out {d}/r.json "
+        "--samples 0",
+        "DataError",
+    ),
+    "importance_zero_seq_len": (
+        "importance --ckpt {d}/model.ckpt --data {d}/corpus.txt --out {d}/r.json "
+        "--seq-len 0",
+        "DataError",
     ),
     "search_space_missing_keys": (
         "search --space {d}/bad_space.json --budget 1000 --tolerance 0.1 --out {d}/c.json",

@@ -466,3 +466,18 @@ def test_config_roundtrips_and_validates():
         DistillConfig(logit_loss=None, use_clm=False)
     with pytest.raises(ConfigError):
         DistillConfig(temperature=-1.0)
+    for bad in (
+        {"layer_map": [[1, 2, 3]]},
+        {"layer_map": [["a", 1]]},
+        {"layer_map": [[-1, 0]], "is_components": ["o"]},
+        {"layer_map": [[True, 0]]},
+        {"top_k": "5"},
+        {"top_k": 2.5},
+        {"top_k": 0},
+        {"alpha_const": "x"},
+        {"use_clm": "yes"},
+        {"temperature": "1"},
+        {"is_components": "emb"},
+    ):
+        with pytest.raises(ConfigError):
+            DistillConfig.from_dict(bad)

@@ -365,6 +365,16 @@ def test_report_roundtrip(tmp_path):
     assert np.array_equal(loaded.emb_ranked(), report.emb_ranked())
 
 
+def test_report_from_a_list_calibration_set_equals_the_array():
+    # The perplexity sweep scores the whole calibration set as one token
+    # array, whatever its container.
+    m = small_model(dtype=np.float32)
+    calib = toks(5, 8)
+    want = compute_importance_report(m, calib, blocks=[(0, 2)])
+    got = compute_importance_report(m, calib.tolist(), blocks=[(0, 2)])
+    assert got.to_json() == want.to_json()
+
+
 # ---------------------------------------------------------------- iterative
 
 

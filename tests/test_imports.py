@@ -1,11 +1,18 @@
-"""Every imported name is used.
+"""Every imported name is used, and every definition is named somewhere.
 
 No linter is installed, so this stands in for the unused-import check over
 the package and its tests. ``__init__.py`` files are skipped, since their
 imports are the package's re-exports, and so is ``from __future__``.
+
+The dead-code check covers the package's top-level functions and classes
+and the methods and properties of those classes: each name must occur as a
+word in the Python sources of ``src/``, ``tests/`` or ``bench/`` more often
+than it is defined.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -33,6 +40,49 @@ def unused_imports(source: str) -> list[str]:
                 bound[alias.asname or alias.name] = node.lineno
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"{name} (line {line})" for name, line in bound.items() if name not in read]
+
+
+def definitions(source: str) -> list[str]:
+    """Top-level function and class names in ``source``, plus the method
+    and property names of those classes; dunder methods are left out."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [n.name for n in node.body if isinstance(n, ast.FunctionDef)]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def unreferenced(package: list[str], corpus: list[str]) -> list[str]:
+    """Names defined in the ``package`` sources that occur as a word in the
+    ``corpus`` (which holds the package too) no more often than they are
+    defined."""
+    defined = Counter(name for source in package for name in definitions(source))
+    words = Counter(re.findall(r"\w+", "\n".join(corpus)))
+    return sorted(name for name, n in defined.items() if words[name] <= n)
+
+
+def test_unreferenced_definitions_are_found():
+    lib = (
+        "def used():\n    pass\n\n\ndef dead():\n    pass\n\n\n"
+        "class Box:\n    def __init__(self):\n        self.n = used()\n\n"
+        "    @property\n    def size(self):\n        return 1\n\n"
+        "    def unused(self):\n        return self.n\n"
+    )
+    user = "print(Box().size)\n"
+    assert unreferenced([lib], [lib, user]) == ["dead", "unused"]
+
+
+def test_every_definition_is_named_elsewhere():
+    def sources(*folders):
+        return [
+            path.read_text(encoding="utf-8")
+            for folder in folders
+            for path in sorted((ROOT / folder).rglob("*.py"))
+        ]
+
+    assert unreferenced(sources("src/trimformer"), sources("src", "tests", "bench")) == []
 
 
 def test_unused_imports_are_found():
