@@ -1,12 +1,15 @@
 """Dense tensors with taped reverse-mode differentiation.
 
 Just enough operator coverage for a decoder-only transformer: matmul,
-elementwise arithmetic, reductions, softmax / log-softmax / logsumexp,
-layer norm, embedding lookup, gather along the vocab axis, rotary position
-twiddles, cross-entropy over a prefix of the positions (next-token targets
-meet the full logits, unsliced) and fused :func:`causal_attention`, one
+elementwise arithmetic, reductions, softmax / log-softmax, layer norm,
+embedding lookup, gather along the vocab axis, rotary position twiddles,
+cross-entropy over a prefix of the positions (next-token targets meet the
+full logits, unsliced) and fused :func:`causal_attention`, one
 node from scores to per-head output. Every weight product (a 2-D right
 operand) runs as one 2-D GEMM over the left operand's folded leading axes.
+Every probability comes from one kernel, :func:`_softmax_rows`, and every
+log-probability from one other, :func:`_log_softmax_rows`; the numpy-side
+teacher terms of distillation call them too.
 
 Recording model: ops run eagerly on numpy arrays. When a :class:`Tape` is
 active on the current thread *and* an input participates in the graph, the
@@ -130,17 +133,11 @@ class Tape:
             raise TapeError("tape already consumed by a previous backward pass")
         if loss.data.size != 1:
             raise ShapeError("backward requires a scalar loss")
-        # Restrict the sweep to nodes that actually feed the loss.
-        needed = set()
-        stack = [loss]
-        while stack:
-            node = stack.pop()._node
-            if node is not None and id(node) not in needed:
-                needed.add(id(node))
-                stack.extend(node.inputs)
         loss.grad = np.ones_like(loss.data)
         for node in reversed(self.nodes):
-            if id(node) not in needed or node.out.grad is None:
+            # An output gets a gradient only from a consumer that has one, so
+            # this skips exactly the nodes that do not feed the loss.
+            if node.out.grad is None:
                 continue
             grads = node.fn(node.out.grad)
             stored: set[int] = set()
@@ -442,6 +439,18 @@ def _softmax_rows(x: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
+def _log_softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Max-stabilized log-softmax ``(x - m) - log(sum(exp(x - m)))`` over the
+    last axis.
+
+    Teacher (numpy) and student (graph) log-probabilities both come from
+    this one kernel, so identical logits give bitwise-identical rows and a
+    bitwise-zero divergence (the self-distillation fixed point).
+    """
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def _softmax_rows_grad(g: np.ndarray, p: np.ndarray, out=None) -> np.ndarray:
     """Softmax backward ``(g - sum(g * p)) * p``, into ``out`` (may be ``g``)."""
     out = np.subtract(g, (g * p).sum(axis=-1, keepdims=True), out=out)
@@ -496,27 +505,11 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray) -> Tenso
 
 
 def log_softmax(a: Tensor) -> Tensor:
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out = shifted - lse
+    """Row log-softmax over the last axis (:func:`_log_softmax_rows`)."""
+    out = _log_softmax_rows(a.data)
 
     def fn(g):
         return (g - np.exp(out) * g.sum(axis=-1, keepdims=True),)
-
-    return _make(out, (a,), fn)
-
-
-def logsumexp(a: Tensor, keepdims: bool = False) -> Tensor:
-    m = a.data.max(axis=-1, keepdims=True)
-    out = np.log(np.exp(a.data - m).sum(axis=-1, keepdims=True)) + m
-    sm = np.exp(a.data - out)
-    if not keepdims:
-        out = out.squeeze(-1)
-
-    def fn(g):
-        if not keepdims:
-            g = np.expand_dims(g, -1)
-        return (g * sm,)
 
     return _make(out, (a,), fn)
 
@@ -577,10 +570,10 @@ def soft_cross_entropy(logits: Tensor, probs: np.ndarray) -> Tensor:
     each target row as summing to one exactly; bitwise-equal distributions
     therefore produce bitwise-zero gradients (a fixed point for
     self-distillation), which a composed log-softmax graph cannot achieve.
+    The forward is :func:`_log_softmax_rows`, the kernel the teacher side
+    uses.
     """
-    m = logits.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(logits.data - m).sum(axis=-1, keepdims=True)) + m
-    logp = logits.data - lse
+    logp = _log_softmax_rows(logits.data)
     out = -(probs * logp).sum(axis=-1)
 
     def fn(g):
@@ -608,9 +601,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     scored = targets.shape[1]
     flat = logits.data[:, :scored].reshape(-1, v)
     t = targets.reshape(-1)
-    shifted = flat - flat.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    logp = shifted - lse
+    logp = _log_softmax_rows(flat)
     n = t.shape[0]
     out = np.asarray(-logp[np.arange(n), t].mean(), dtype=logits.data.dtype)
 

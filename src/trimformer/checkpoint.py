@@ -102,6 +102,17 @@ def load_checkpoint(path: str) -> Model:
     except (ValueError, KeyError, TypeError, ConfigError) as e:
         raise CheckpointError(f"unparseable header: {e}", field="header") from e
     payload = raw[16 + header_len :]
+    if not isinstance(directory, list) or not all(
+        isinstance(e, dict) and all(k in e for k in ("name", "dtype", "shape", "offset"))
+        and isinstance(e["shape"], list) and all(isinstance(n, int) for n in e["shape"])
+        and isinstance(e["offset"], int)
+        for e in directory
+    ):
+        raise CheckpointError(
+            "tensor directory must be a list of {name, dtype, shape, offset} "
+            "entries with integer shapes and offsets",
+            field="tensors",
+        )
 
     expected = dict(_layer_param_shapes(config))
     if [e["name"] for e in directory] != list(expected):

@@ -73,7 +73,10 @@ class TokenDataset:
     @classmethod
     def load(cls, path: str) -> "TokenDataset":
         with open(path, "rb") as f:
-            ids = np.frombuffer(f.read(), dtype="<u4")
+            raw = f.read()
+        if len(raw) % 4:
+            raise DataError(f"dataset {path} holds {len(raw)} bytes, not whole uint32 ids")
+        ids = np.frombuffer(raw, dtype="<u4")
         with open(path + ".json", "r", encoding="utf-8") as f:
             try:
                 manifest = json.load(f)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, _log_softmax_rows, _softmax_rows
 from .data import TokenDataset, sample_batch
 from .errors import ConfigError, DataError, DivergenceError, ShapeError
 from .model import Model, forward, lm_loss
@@ -130,14 +130,6 @@ class SharedProjection:
         return ad.matmul(states, self.matrix)
 
 
-def _np_log_softmax(x: np.ndarray) -> np.ndarray:
-    # Same association as the graph path (x - (lse + m)) so that identical
-    # teacher/student logits produce a bitwise-zero divergence.
-    m = x.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(x - m).sum(axis=-1, keepdims=True)) + m
-    return x - lse
-
-
 def logit_loss(teacher_logits: np.ndarray, student_logits: Tensor, cfg: DistillConfig) -> Tensor:
     """Per-token divergence between the temperature-softened distributions
     of constant teacher logits and the student's, averaged over batch and
@@ -162,7 +154,7 @@ def logit_loss(teacher_logits: np.ndarray, student_logits: Tensor, cfg: DistillC
         t_scaled = np.take_along_axis(t_scaled, idx, axis=-1)
         s_scaled = ad.gather_last(s_scaled, idx)
 
-    t_logp = _np_log_softmax(t_scaled)
+    t_logp = _log_softmax_rows(t_scaled)
     t_prob = np.exp(t_logp)
 
     if cfg.logit_loss == "kld":
@@ -172,17 +164,15 @@ def logit_loss(teacher_logits: np.ndarray, student_logits: Tensor, cfg: DistillC
         cross = ad.soft_cross_entropy(s_scaled, t_prob)
         return ad.mean(ad.add(Tensor._wrap(entropy), cross))
 
-    s_logp = ad.sub(s_scaled, ad.logsumexp(s_scaled, keepdims=True))
+    s_logp = ad.log_softmax(s_scaled)
+    s_prob = ad.exp(s_logp)
     if cfg.logit_loss == "rkld":
-        s_prob = ad.exp(s_logp)
         gap = ad.sub(s_logp, Tensor._wrap(t_logp))
         return ad.mean(ad.tsum(ad.mul(s_prob, gap), axis=-1))
     if cfg.logit_loss == "mse":
-        s_prob = ad.exp(s_logp)
         diff = ad.sub(s_prob, Tensor._wrap(t_prob))
         return ad.mean(ad.mean(ad.mul(diff, diff), axis=-1))
     if cfg.logit_loss == "cosine":
-        s_prob = ad.exp(s_logp)
         return ad.mean(_one_minus_cosine(t_prob, s_prob))
     raise ConfigError(f"no logit loss selected ({cfg.logit_loss!r})")
 
@@ -214,14 +204,13 @@ def _relation_kld(teacher_states: np.ndarray, student_states, d_head: int) -> Te
     scale = 1.0 / math.sqrt(d_head)
     t = teacher_states.astype(np.float64)
     t_scores = np.matmul(t, t.swapaxes(-1, -2)) * scale
-    t_rel = np.exp(_np_log_softmax(t_scores)).mean(axis=1)  # [B,S,S]
+    t_rel = _softmax_rows(t_scores).mean(axis=1)  # [B,S,S]
     t_rel = t_rel.astype(teacher_states.dtype)
 
     s_scores = ad.mul(
         ad.matmul(student_states, ad.transpose(student_states, (0, 1, 3, 2))), scale
     )
-    s_logrel_heads = ad.log_softmax(s_scores)  # per head
-    s_rel = ad.mean(ad.exp(s_logrel_heads), axis=1)  # [B,S,S]
+    s_rel = ad.mean(ad.softmax(s_scores), axis=1)  # [B,S,S]
     s_logrel = ad.log(s_rel)
     t_logrel = np.log(t_rel)
     kld = ad.sub(

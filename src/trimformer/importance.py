@@ -254,16 +254,16 @@ class ImportanceReport:
     def from_json(cls, text: str) -> "ImportanceReport":
         try:
             d = json.loads(text)
+
+            def scores(key):  # float64, so a non-numeric score fails here
+                return None if d[key] is None else np.array(d[key], dtype=np.float64)
+
             return cls(
-                head_scores=np.array(d["head_scores"]),
-                neuron_scores=np.array(d["neuron_scores"]),
-                emb_scores=np.array(d["emb_scores"]),
-                layer_scores_ppl=(
-                    None if d["layer_scores_ppl"] is None else np.array(d["layer_scores_ppl"])
-                ),
-                layer_scores_bi=(
-                    None if d["layer_scores_bi"] is None else np.array(d["layer_scores_bi"])
-                ),
+                head_scores=scores("head_scores"),
+                neuron_scores=scores("neuron_scores"),
+                emb_scores=scores("emb_scores"),
+                layer_scores_ppl=scores("layer_scores_ppl"),
+                layer_scores_bi=scores("layer_scores_bi"),
                 block_bi_scores={
                     (e["start"], e["length"]): e["score"] for e in d.get("block_bi", [])
                 },

@@ -234,20 +234,19 @@ def rank_candidates(
     seed: int = 0,
     batch_size: int = 8,
     seq_len: int = 32,
-    eval_every: int = 0,
-    merge_heads: bool = False,
 ) -> CandidateSet:
     """Prune to each candidate, retrain identically, order by final eval loss.
 
     Candidates are processed in label order with a shared seed, so the
-    ranking does not depend on the incoming list order.
+    ranking does not depend on the incoming list order. Each run is
+    evaluated every tenth of its steps (every step below ten) and at its
+    last.
     """
     if retrain_steps < 1:
         raise SearchError("retrain_steps must be >= 1")
-    eval_every = eval_every or max(1, retrain_steps // 10)
     ranked: list[Candidate] = []
     for cand in sorted(candidate_set.candidates, key=lambda c: c.label):
-        student = apply_candidate(model, cand.config, report, merge_heads=merge_heads)
+        student = apply_candidate(model, cand.config, report)
         student, metrics = distill_loop(
             model,
             student,
@@ -258,7 +257,7 @@ def rank_candidates(
             batch_size=batch_size,
             seq_len=seq_len,
             eval_data=eval_tokens,
-            eval_every=eval_every,
+            eval_every=max(1, retrain_steps // 10),
         )
         trajectory = [(m["step"], m["eval_loss"]) for m in metrics if "eval_loss" in m]
         ranked.append(

@@ -213,6 +213,35 @@ def test_cross_entropy_rejects_misshapen_targets():
             ad.cross_entropy(logits, targets.astype(np.int64))
 
 
+# ---------------------------------------------------------------- log-softmax
+
+
+def test_log_softmax_vs_oracle(rng):
+    x = rng.normal(size=(3, 4, 9)) * 5
+    got = ad.log_softmax(t64(x)).data
+    assert np.abs(got - oracle.naive_log_softmax(x)).max() < 1e-12
+
+
+def test_fd_log_softmax(rng):
+    x = t64(rng.normal(size=(2, 3, 6)), requires_grad=True)
+    weight = Tensor(rng.normal(size=(2, 3, 6)))
+
+    def compute():
+        return ad.tsum(ad.mul(ad.log_softmax(x), weight))
+
+    with Tape():
+        loss = compute()
+    ad.backward(loss)
+    oracle.check_fd(lambda: compute().item(), {"x": x}, h=1e-5, tol=1e-6)
+
+
+def test_soft_cross_entropy_vs_oracle(rng):
+    x = rng.normal(size=(2, 3, 7)) * 3
+    p = oracle.naive_softmax(rng.normal(size=(2, 3, 7)))
+    want = -(p * oracle.naive_log_softmax(x)).sum(-1)
+    assert np.abs(ad.soft_cross_entropy(t64(x), p).data - want).max() < 1e-12
+
+
 # ---------------------------------------------------------------- tape & backward
 
 
@@ -293,6 +322,19 @@ def test_grad_buffers_are_independent():
     assert np.allclose(y.grad, 1.0)
 
 
+def test_branch_off_the_loss_leaves_its_leaf_without_grad():
+    # The branch reads a node that feeds the loss, and a leaf of its own.
+    x = t64(np.array([1.0, 2.0]), requires_grad=True)
+    y = t64(np.array([3.0, 4.0]), requires_grad=True)
+    with Tape():
+        h = ad.mul(x, x)
+        loss = ad.tsum(h)
+        ad.tsum(ad.mul(h, y))
+    ad.backward(loss)
+    assert y.grad is None
+    assert np.array_equal(x.grad, 2 * x.data)
+
+
 # ---------------------------------------------------------------- fd checks
 
 
@@ -347,7 +389,7 @@ def test_fd_gather_logsumexp_rope():
     def compute():
         r = ad.rope(w, cos, sin)
         g = ad.gather_last(r, idx)
-        return ad.tsum(ad.logsumexp(g))
+        return ad.tsum(ad.sub(g, ad.log_softmax(g)))  # logsumexp(g) in every entry
 
     with Tape():
         loss = compute()

@@ -4,6 +4,7 @@ error line on stderr naming a typed error, never a traceback."""
 
 import json
 import math
+import struct
 
 import pytest
 
@@ -11,6 +12,7 @@ from trimformer import cli, errors, model
 from trimformer.checkpoint import load_checkpoint, save_checkpoint
 from trimformer.data import ingest_text, sample_calibration, synthetic_markov_text
 from trimformer.distill import conventional_loop
+from trimformer.importance import compute_importance_report
 from trimformer.model import ModelConfig, build_model, perplexity
 
 MODEL = dict(
@@ -47,6 +49,28 @@ def workdir(tmp_path_factory):
     (d / "garbled.json").write_text('{"model": {"num_layers": 2,')
     (d / "garbled_report.json").write_text("{not json")
     (d / "list.json").write_text("[1, 2]")
+    raw = (d / "model.ckpt").read_bytes()
+    (n,) = struct.unpack("<Q", raw[8:16])
+    for name, edit in (
+        ("no_offset", lambda h: h["tensors"][0].pop("offset")),
+        ("tensors_object", lambda h: h.update(tensors={"a": 1})),
+        ("int_shape", lambda h: h["tensors"][0].update(shape=5)),
+    ):
+        header = json.loads(raw[16 : 16 + n])
+        edit(header)
+        blob = json.dumps(header).encode()
+        (d / f"{name}.ckpt").write_bytes(
+            raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + n :]
+        )
+    (d / "odd.ids").write_bytes(bytes(7))
+    (d / "odd.ids.json").write_text(json.dumps({"vocab_size": 257, "documents": []}))
+    calib = sample_calibration(ingest_text(str(d / "corpus.txt")), 2, 8, 0)
+    report = json.loads(compute_importance_report(
+        load_checkpoint(str(d / "model.ckpt")), calib, include_ppl=False, include_bi=False
+    ).to_json())
+    report["neuron_scores"][0][0] = "high"
+    (d / "string_score.json").write_text(json.dumps(report))
+    (d / "narrow_target.json").write_text(json.dumps({**MODEL, "d_hidden": 16}))
     return d
 
 
@@ -157,6 +181,27 @@ CASES = {
     "importance_zero_seq_len": (
         "importance --ckpt {d}/model.ckpt --data {d}/corpus.txt --out {d}/r.json "
         "--seq-len 0",
+        "DataError",
+    ),
+    "checkpoint_entry_without_offset": (
+        "eval --ckpt {d}/no_offset.ckpt --data {d}/corpus.txt",
+        "CheckpointError",
+    ),
+    "checkpoint_directory_an_object": (
+        "eval --ckpt {d}/tensors_object.ckpt --data {d}/corpus.txt",
+        "CheckpointError",
+    ),
+    "checkpoint_shape_an_integer": (
+        "eval --ckpt {d}/int_shape.ckpt --data {d}/corpus.txt",
+        "CheckpointError",
+    ),
+    "dataset_ids_not_whole_uint32": (
+        "eval --ckpt {d}/model.ckpt --data {d}/odd.ids",
+        "DataError",
+    ),
+    "report_score_a_string": (
+        "prune --ckpt {d}/model.ckpt --report {d}/string_score.json "
+        "--target {d}/narrow_target.json --out {d}/o.ckpt",
         "DataError",
     ),
     "search_space_missing_keys": (

@@ -52,6 +52,25 @@ def test_logit_loss_zero_when_equal(loss_name, rng):
     assert abs(val) < 1e-9
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("top_k", [None, 4])
+@pytest.mark.parametrize("temperature", [1.0, 2.0])
+def test_identical_logits_give_exactly_zero_divergence(dtype, top_k, temperature, rng):
+    # Teacher and student log-probabilities come from one kernel, so equal
+    # logits give bitwise-equal rows: kld and mse are exactly zero with an
+    # exactly-zero gradient, rkld exactly zero.
+    logits = (rng.normal(size=(2, 3, 9)) * 3).astype(dtype)
+    for name in ("kld", "rkld", "mse"):
+        s = Tensor(logits.copy(), requires_grad=True)
+        cfg = DistillConfig(logit_loss=name, temperature=temperature, top_k=top_k)
+        with Tape():
+            loss = logit_loss(logits, s, cfg)
+        assert loss.item() == 0.0
+        ad.backward(loss)
+        if name != "rkld":
+            assert not np.any(s.grad)
+
+
 def test_kld_closed_form():
     # teacher (1/2, 1/2), student (1/4, 3/4)
     t = np.log(np.array([[[0.5, 0.5]]]))
