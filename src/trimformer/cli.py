@@ -33,8 +33,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import TokenDataset, ingest_text, sample_calibration
 from .distill import CLM_ONLY, DistillConfig, check_train_args, default_layer_map, distill_loop
@@ -113,12 +111,6 @@ def _train(args, config: dict, teacher: Model | None, student: Model,
         **summary,
     }))
     return 0
-
-
-def _eval_batch(dataset: TokenDataset, args) -> np.ndarray:
-    return sample_calibration(
-        dataset, args.samples, args.seq_len, args.seed, split=args.split
-    )
 
 
 def cmd_train(args) -> int:
@@ -212,9 +204,8 @@ def cmd_search(args) -> int:
         data = _load_dataset(args.data, args.seed)
         report = ImportanceReport.load(args.report)
         eval_tokens = sample_calibration(data, 16, args.seq_len, args.seed, split="val")
-        cfg = DistillConfig()
         result = rank_candidates(
-            model, result, args.steps, cfg, eval_tokens, data, report,
+            model, result, args.steps, DistillConfig(), eval_tokens, data, report,
             seed=args.seed, seq_len=args.seq_len,
         )
     result.save(args.out)
@@ -261,7 +252,7 @@ def cmd_distill(args) -> int:
 def cmd_eval(args) -> int:
     model = load_checkpoint(args.ckpt)
     data = _load_dataset(args.data, args.seed)
-    batch = _eval_batch(data, args)
+    batch = sample_calibration(data, args.samples, args.seq_len, args.seed, split=args.split)
     loss = lm_loss(model, batch).item()
     ppl = math.exp(loss)  # the perplexity of one batch, from the same forward
     print(json.dumps({

@@ -19,6 +19,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field, fields
+from functools import reduce
 
 import numpy as np
 
@@ -26,19 +27,11 @@ from . import autodiff as ad
 from .autodiff import Tensor, _log_softmax_rows, _softmax_rows
 from .data import TokenDataset, sample_batch
 from .errors import ConfigError, DataError, DivergenceError, ShapeError
-from .model import Model, forward, lm_loss
+from .model import Model, _is_int, _is_number, forward, lm_loss
 
 LOGIT_LOSSES = ("kld", "rkld", "mse", "cosine")
 IS_LOSSES = ("cosine", "mse")
 IS_COMPONENTS = ("emb", "o", "i", "att")
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_int(value, low: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= low
 
 
 @dataclass(frozen=True)
@@ -258,10 +251,7 @@ def intermediate_loss(
                 terms.append(_relation_kld(t_states.data, s_states, d_head))
     if not terms:
         raise ConfigError("intermediate_loss called with no components selected")
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
-    return total
+    return reduce(ad.add, terms)
 
 
 def _capture_for(cfg: DistillConfig, col: int):
@@ -325,9 +315,7 @@ def total_loss(
             loss_is=l_is.item(), alpha=alpha, alpha_times_is=alpha * l_is.item()
         )
 
-    loss = terms[0]
-    for t in terms[1:]:
-        loss = ad.add(loss, t)
+    loss = reduce(ad.add, terms)
     components["loss_total"] = loss.item()
     return loss, components
 

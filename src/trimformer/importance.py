@@ -6,9 +6,9 @@ chunked forward pass over the calibration set scores every width axis
 every depth criterion that compares block inputs: block influence (BI, one
 minus the expected input/output cosine similarity of a block) and the BI of
 any contiguous run of blocks. :func:`layer_importance_ppl` is its depth
-sweep: the perplexity of the model with one block removed, one evaluation
-per layer. No API here ever records onto a gradient tape — callers inside a
-tape context get an error.
+sweep: the perplexity of the model with one block removed, each removal
+resumed from a block input kept by one plain forward. No API here ever
+records onto a gradient tape — callers inside a tape context get an error.
 
 Per-head and per-neuron scores are ranked within their own layer; embedding
 channel scores are aggregated per LayerNorm site and then summed across all
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .checkpoint import write_atomic
 from .errors import ConfigError, DataError, PruneError
-from .model import Model, forward, perplexity
+from .model import Model, _is_int, _is_number, forward
 from .pruning import apply_candidate, resolve_query_groups
 
 _AGG_ALIASES = {"mean": "mean_abs", "var": "variance", "l2": "l2"}
@@ -171,16 +172,22 @@ def _emb_total(scores, num_layers: int, width: int) -> np.ndarray:
 
 def layer_importance_ppl(model: Model, calib: np.ndarray) -> np.ndarray:
     """Perplexity of the model with each single block removed; higher means
-    the block mattered more. One evaluation sweep per layer."""
+    the block mattered more.
+
+    One plain forward over the whole calibration set keeps every block input
+    ``X_i``; the model without block ``i`` is that pass resumed at block
+    ``i + 1`` on ``X_i``, so the sweep runs ``L + L(L-1)/2`` blocks."""
     _require_no_tape("layer_importance_ppl")
     if model.config.num_layers < 2:
         raise PruneError("layer importance needs at least two layers")
-    return np.array(
-        [
-            perplexity(model, calib, skip_layers={i})
-            for i in range(model.config.num_layers)
-        ]
-    )
+    calib = np.asarray(calib)
+    _, inputs = forward(model, calib, tap=lambda site, layer, x: x if site == "x" else None)
+
+    def removed_ppl(i: int) -> float:
+        logits, _ = forward(model, calib, start=(i + 1, inputs[("x", i)]))
+        return math.exp(ad.cross_entropy(logits, calib[:, 1:]).item())
+
+    return np.array([removed_ppl(i) for i in range(model.config.num_layers)])
 
 
 @dataclass
@@ -258,15 +265,20 @@ class ImportanceReport:
             def scores(key):  # float64, so a non-numeric score fails here
                 return None if d[key] is None else np.array(d[key], dtype=np.float64)
 
+            def block(e):
+                if not (_is_int(e["start"], 0) and _is_int(e["length"], 1)
+                        and _is_number(e["score"])):
+                    raise TypeError(f"block_bi entry {e!r} needs integer start and length "
+                                    "and a numeric score")
+                return (e["start"], e["length"]), e["score"]
+
             return cls(
                 head_scores=scores("head_scores"),
                 neuron_scores=scores("neuron_scores"),
                 emb_scores=scores("emb_scores"),
                 layer_scores_ppl=scores("layer_scores_ppl"),
                 layer_scores_bi=scores("layer_scores_bi"),
-                block_bi_scores={
-                    (e["start"], e["length"]): e["score"] for e in d.get("block_bi", [])
-                },
+                block_bi_scores=dict(block(e) for e in d.get("block_bi", [])),
                 agg=AggregationSpec.from_dict(d["aggregation"]),
                 calibration_checksum=d["calibration_checksum"],
             )
@@ -295,8 +307,9 @@ def compute_importance_report(
     blocks: list[tuple[int, int]] | None = None,
 ) -> ImportanceReport:
     """Score every axis from one captured pass over the calibration set,
-    plus the per-layer perplexity sweep, which dominates the cost; disable
-    it when only width axes are needed."""
+    plus the per-layer perplexity sweep (one plain forward and ``L`` resumed
+    ones, ``L + L(L-1)/2`` blocks in all); disable it when only width axes
+    are needed."""
     _require_no_tape("compute_importance_report")
     spec = spec or AggregationSpec()
     cfg = model.config

@@ -17,6 +17,9 @@ adds no gradient state of its own. For ``L`` layers:
 - ``ln2``, ``qkv``, ``attn``, ``mlp_pre`` (layers 0..L-1): the MLP input
   norm, rotary ``(q, k, v)``, per-head attention output and MLP
   pre-activation.
+
+``forward(..., start=(i, x))`` resumes a pass at block ``i`` on the block
+input ``x`` that an earlier pass's tap kept.
 """
 
 from __future__ import annotations
@@ -34,6 +37,14 @@ from .errors import ConfigError, DataError
 ROPE_BASE = 10000.0
 INIT_STD = 0.02
 MASK_FILL = -1e9
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value, low: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
 
 
 @dataclass(frozen=True)
@@ -59,8 +70,10 @@ class ModelConfig:
             if f.type != "int":
                 continue
             value, low = getattr(self, f.name), 0 if f.name == "num_layers" else 1
-            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            if not _is_int(value, low):
                 raise ConfigError(f"{f.name} must be an integer >= {low}, got {value!r}")
+        if not isinstance(self.tie_embeddings, bool):
+            raise ConfigError(f"tie_embeddings must be a bool, got {self.tie_embeddings!r}")
         if self.num_heads % self.num_query_groups != 0:
             raise ConfigError(
                 f"num_heads={self.num_heads} not divisible by "
@@ -231,16 +244,14 @@ def _attention(model: Model, x: Tensor, layer: int, emit):
     return ad.matmul(concat, model.layer_param(layer, "attn.wo"))
 
 
-def forward(
-    model: Model,
-    tokens: np.ndarray,
-    skip_layers: frozenset | set = frozenset(),
-    tap=None,
-):
+def forward(model: Model, tokens: np.ndarray, tap=None, start=None):
     """Causal forward pass.
 
-    Returns ``(logits, acts)``. ``skip_layers`` omits whole blocks, which by
-    the pre-norm residual topology equals evaluating the depth-pruned model.
+    Returns ``(logits, acts)``. ``start=(i, x)`` resumes the pass at block
+    ``i`` on the block input ``x`` (``i == L`` runs only the final norm and
+    the head). Resuming at block ``i + 1`` on block ``i``'s input omits block
+    ``i``, which by the pre-norm residual topology equals evaluating the
+    depth-pruned model.
 
     At every activation site the pass calls ``tap(site, layer, value)`` and
     stores any non-None result in ``acts[(site, layer)]``; without a tap
@@ -265,7 +276,8 @@ def forward(
     mlp_pre   0 .. L-1   MLP pre-activation ``[B,S,d_hidden]``
     ========  =========  ==================================================
 
-    Skipped blocks still report their ``x`` site and nothing else.
+    A resumed pass reports sites from block ``i`` on; ``tokens`` then only
+    fixes the shape checks.
     """
     cfg = model.config
     tokens = np.asarray(tokens)
@@ -282,11 +294,9 @@ def forward(
             if kept is not None:
                 acts[(site, layer)] = kept
 
-    x = ad.embedding(model.params["embedding"], tokens)
-    for i in range(cfg.num_layers):
+    first, x = start or (0, ad.embedding(model.params["embedding"], tokens))
+    for i in range(first, cfg.num_layers):
         emit("x", i, x)
-        if i in skip_layers:
-            continue
         h1 = ad.layer_norm(
             x, model.layer_param(i, "ln1.gamma"), model.layer_param(i, "ln1.beta")
         )
@@ -306,19 +316,15 @@ def forward(
     return logits, acts
 
 
-def lm_loss(
-    model: Model, tokens: np.ndarray, skip_layers: frozenset | set = frozenset()
-) -> Tensor:
+def lm_loss(model: Model, tokens: np.ndarray) -> Tensor:
     """Next-token cross-entropy: positions 0..S-2 predict tokens 1..S-1."""
     tokens = np.asarray(tokens)
     if tokens.ndim != 2 or tokens.shape[1] < 2:
         raise DataError("lm_loss needs [batch, seq>=2] token arrays")
-    logits, _ = forward(model, tokens, skip_layers=skip_layers)
+    logits, _ = forward(model, tokens)
     return ad.cross_entropy(logits, tokens[:, 1:])
 
 
-def perplexity(
-    model: Model, tokens: np.ndarray, skip_layers: frozenset | set = frozenset()
-) -> float:
+def perplexity(model: Model, tokens: np.ndarray) -> float:
     """``exp(lm_loss)`` over one ``[batch, seq>=2]`` token array."""
-    return math.exp(lm_loss(model, tokens, skip_layers=skip_layers).item())
+    return math.exp(lm_loss(model, tokens).item())

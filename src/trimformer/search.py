@@ -11,8 +11,9 @@ retraining is what stabilizes the relative order.
 from __future__ import annotations
 
 import json
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -177,8 +178,8 @@ def enumerate_candidates(
         raise SearchError(f"tolerance must be in (0, 1), got {tolerance}")
     if count_mode not in COUNT_MODES:
         raise SearchError(f"count_mode must be one of {COUNT_MODES}")
-    if budget <= 0:
-        raise SearchError("budget must be positive")
+    if not (math.isfinite(budget) and budget > 0):
+        raise SearchError(f"budget must be positive and finite, got {budget}")
     lo, hi = space.layer_range
     seen = set()
     rows = []
@@ -260,21 +261,6 @@ def rank_candidates(
             eval_every=max(1, retrain_steps // 10),
         )
         trajectory = [(m["step"], m["eval_loss"]) for m in metrics if "eval_loss" in m]
-        ranked.append(
-            Candidate(
-                config=cand.config,
-                total_params=cand.total_params,
-                non_embedding_params=cand.non_embedding_params,
-                label=cand.label,
-                eval_loss=trajectory[-1][1],
-                eval_trajectory=trajectory,
-            )
-        )
+        ranked.append(replace(cand, eval_loss=trajectory[-1][1], eval_trajectory=trajectory))
     ranked.sort(key=lambda c: (c.eval_loss, c.label))
-    return CandidateSet(
-        candidate_set.space,
-        candidate_set.budget,
-        candidate_set.tolerance,
-        candidate_set.count_mode,
-        ranked,
-    )
+    return replace(candidate_set, candidates=ranked)

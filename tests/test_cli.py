@@ -42,6 +42,15 @@ def workdir(tmp_path_factory):
         "negative_steps.json": {"model": MODEL, "train": {"steps": -1}},
         "string_lr.json": {"model": MODEL, "train": {"steps": 1, "lr_max": "1e-3"}},
         "string_seq_len.json": {"model": MODEL, "train": {"steps": 1, "seq_len": "8"}},
+        "string_tie.json": {
+            "model": {**MODEL, "tie_embeddings": "false"},
+            "train": {"steps": 1, "batch_size": 2, "seq_len": 8},
+        },
+        "space.json": {
+            "layer_range": [1, 2], "head_choices": [2, 4], "mlp_expansion_factors": [2.0],
+            "embedding_choices": [16], "d_head": 4, "vocab_size": 257,
+            "num_query_groups": 2, "max_seq_len": 16,
+        },
         "target.json": MODEL,
     }
     for name, content in files.items():
@@ -70,6 +79,9 @@ def workdir(tmp_path_factory):
     ).to_json())
     report["neuron_scores"][0][0] = "high"
     (d / "string_score.json").write_text(json.dumps(report))
+    report["neuron_scores"][0][0] = 0.0
+    report["block_bi"] = [{"start": "zero", "length": 1, "score": "high"}]
+    (d / "string_block_bi.json").write_text(json.dumps(report))
     (d / "narrow_target.json").write_text(json.dumps({**MODEL, "d_hidden": 16}))
     return d
 
@@ -203,6 +215,23 @@ CASES = {
         "prune --ckpt {d}/model.ckpt --report {d}/string_score.json "
         "--target {d}/narrow_target.json --out {d}/o.ckpt",
         "DataError",
+    ),
+    "report_block_bi_strings": (
+        "prune --ckpt {d}/model.ckpt --report {d}/string_block_bi.json "
+        "--target {d}/narrow_target.json --out {d}/o.ckpt",
+        "DataError",
+    ),
+    "model_tie_embeddings_a_string": (
+        "train --config {d}/string_tie.json --data {d}/corpus.txt --out {d}/o.ckpt",
+        "ConfigError",
+    ),
+    "search_budget_inf": (
+        "search --space {d}/space.json --budget inf --tolerance 0.1 --out {d}/c.json",
+        "SearchError",
+    ),
+    "search_budget_nan": (
+        "search --space {d}/space.json --budget nan --tolerance 0.1 --out {d}/c.json",
+        "SearchError",
     ),
     "search_space_missing_keys": (
         "search --space {d}/bad_space.json --budget 1000 --tolerance 0.1 --out {d}/c.json",

@@ -16,7 +16,7 @@ from trimformer.importance import (
     layer_importance_ppl,
 )
 from trimformer.model import ModelConfig, build_model, perplexity
-from trimformer.pruning import apply_candidate
+from trimformer.pruning import apply_candidate, prune_depth
 
 AGGS = ("mean_abs", "l2", "variance")
 
@@ -248,15 +248,26 @@ def test_head_scores_permutation_equivariant_within_group():
 # ---------------------------------------------------------------- depth
 
 
-def test_ppl_importance_matches_remove_and_eval_loop():
-    m = small_model(num_layers=3)
-    calib = toks(4, 8)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [4, 33])  # 33 > _CHUNK: the sweep scores one batch
+def test_ppl_importance_matches_remove_and_eval_loop(dtype, n):
+    m = small_model(num_layers=3, dtype=dtype)
+    calib = toks(n, 8)
     scores = layer_importance_ppl(m, calib)
-    from trimformer.pruning import prune_depth
-
     for i in range(3):
-        rebuilt = perplexity(prune_depth(m, [i]), calib)
-        assert scores[i] == pytest.approx(rebuilt, rel=1e-9)
+        assert scores[i] == perplexity(prune_depth(m, [i]), calib)
+
+
+@pytest.mark.parametrize("num_layers", [4, 5])
+def test_ppl_sweep_runs_each_prefix_of_blocks_once(num_layers, monkeypatch):
+    # Every evaluated block makes one squared_relu call: the plain pass runs
+    # L blocks and the resumed pass without block i runs the L - 1 - i after
+    # it, L + L(L-1)/2 in all (L(L-1) when each removal reruns its prefix).
+    calls = []
+    real = ad.squared_relu
+    monkeypatch.setattr(ad, "squared_relu", lambda a: calls.append(1) or real(a))
+    layer_importance_ppl(small_model(num_layers=num_layers), toks(2, 6))
+    assert len(calls) == num_layers + num_layers * (num_layers - 1) // 2
 
 
 def test_ppl_importance_exactly_removable_layer(toy_teacher, calib):

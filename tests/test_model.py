@@ -161,9 +161,7 @@ def test_zeroed_layer_is_exactly_removable():
     m.params["layers.1.mlp.w2"].data[:] = 0
     toks = np.array([[1, 2, 3, 4, 5, 6]])
     full, _ = forward(m, toks)
-    skipped, _ = forward(m, toks, skip_layers={1})
     removed, _ = forward(prune_depth(m, [1]), toks)
-    assert np.array_equal(full.data, skipped.data)
     assert np.array_equal(full.data, removed.data)
 
 
@@ -198,9 +196,17 @@ def test_capture_site_conventions(toy_config):
     assert np.array_equal(acts[("x", 0)].data, m["embedding"].data[toks])
     assert sorted(i for site, i in acts if site == "ln1") == list(range(n + 1))
     assert sorted(i for site, i in acts if site == "ln2") == list(range(n))
-    _, skipped = forward(m, toks, skip_layers={1}, tap=keep_all)
-    assert ("x", 1) in skipped and ("ln1", 1) not in skipped
-    assert np.array_equal(skipped[("x", 1)].data, skipped[("x", 2)].data)
+
+
+def test_resumed_forward_equals_the_plain_pass(toy_config):
+    m = build_model(toy_config, seed=3)
+    toks = np.arange(12).reshape(2, 6)
+    full, acts = forward(m, toks, tap=keep_all)
+    n = toy_config.num_layers
+    for i in range(n + 1):
+        logits, resumed = forward(m, toks, tap=keep_all, start=(i, acts[("x", i)]))
+        assert np.array_equal(logits.data, full.data)
+        assert sorted(j for site, j in resumed if site == "x") == list(range(i, n + 1))
 
 
 def test_forward_without_tap_captures_nothing(toy_config):
