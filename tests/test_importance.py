@@ -248,14 +248,22 @@ def test_head_scores_permutation_equivariant_within_group():
 # ---------------------------------------------------------------- depth
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("n", [4, 33])  # 33 > _CHUNK: the sweep scores one batch
-def test_ppl_importance_matches_remove_and_eval_loop(dtype, n):
+def _assert_ppl_scores_match_remove_and_eval(dtype, n):
     m = small_model(num_layers=3, dtype=dtype)
     calib = toks(n, 8)
     scores = layer_importance_ppl(m, calib)
     for i in range(3):
         assert scores[i] == perplexity(prune_depth(m, [i]), calib)
+
+
+def test_ppl_importance_matches_remove_and_eval_loop():
+    _assert_ppl_scores_match_remove_and_eval(np.float64, 4)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [4, 33])  # 33 > _CHUNK: the sweep scores one batch
+def test_ppl_importance_matches_remove_and_eval_loop_per_dtype_and_size(dtype, n):
+    _assert_ppl_scores_match_remove_and_eval(dtype, n)
 
 
 @pytest.mark.parametrize("num_layers", [4, 5])
