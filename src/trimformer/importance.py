@@ -27,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .checkpoint import write_atomic
 from .errors import ConfigError, DataError, PruneError
-from .model import Model, _is_int, _is_number, forward
+from .model import Model, _is_finite, _is_int, forward
 from .pruning import apply_candidate, resolve_query_groups
 
 _AGG_ALIASES = {"mean": "mean_abs", "var": "variance", "l2": "l2"}
@@ -262,14 +262,18 @@ class ImportanceReport:
         try:
             d = json.loads(text)
 
-            def scores(key):  # float64, so a non-numeric score fails here
-                return None if d[key] is None else np.array(d[key], dtype=np.float64)
+            def scores(key):  # finite numbers only: no strings, bools, NaN or inf
+                if d[key] is None:
+                    return None
+                if not all(map(_is_finite, np.array(d[key], dtype=object).flat)):
+                    raise TypeError(f"{key} must hold finite numbers only")
+                return np.array(d[key], dtype=np.float64)
 
             def block(e):
                 if not (_is_int(e["start"], 0) and _is_int(e["length"], 1)
-                        and _is_number(e["score"])):
+                        and _is_finite(e["score"])):
                     raise TypeError(f"block_bi entry {e!r} needs integer start and length "
-                                    "and a numeric score")
+                                    "and a finite numeric score")
                 return (e["start"], e["length"]), e["score"]
 
             return cls(
@@ -282,7 +286,7 @@ class ImportanceReport:
                 agg=AggregationSpec.from_dict(d["aggregation"]),
                 calibration_checksum=d["calibration_checksum"],
             )
-        except (ValueError, KeyError, TypeError, AttributeError) as e:
+        except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as e:
             raise DataError(f"malformed importance report: {e!r}") from e
 
     def save(self, path: str) -> None:

@@ -43,6 +43,10 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    return _is_number(value) and math.isfinite(value)
+
+
 def _is_int(value, low: int) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= low
 

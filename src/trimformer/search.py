@@ -11,7 +11,6 @@ retraining is what stabilizes the relative order.
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -21,7 +20,7 @@ from .checkpoint import write_atomic
 from .distill import DistillConfig, distill_loop
 from .errors import DataError, SearchError
 from .importance import ImportanceReport
-from .model import Model, ModelConfig, count_params
+from .model import Model, ModelConfig, _is_finite, _is_number, count_params
 from .pruning import apply_candidate, resolve_query_groups
 
 MLP_SNAP = 128
@@ -146,6 +145,7 @@ class CandidateSet:
         try:
             d = json.loads(text)
             a = d["assumptions"]
+            _check_target(a["budget"], a["tolerance"], a["count_mode"])
             return cls(
                 space=SearchSpace.from_dict(d["space"]),
                 budget=a["budget"],
@@ -153,7 +153,7 @@ class CandidateSet:
                 count_mode=a["count_mode"],
                 candidates=[Candidate.from_dict(c) for c in d["candidates"]],
             )
-        except (ValueError, KeyError, TypeError) as e:
+        except (ValueError, KeyError, TypeError, OverflowError, SearchError) as e:
             raise DataError(f"malformed candidate manifest: {e!r}") from e
 
     def save(self, path: str) -> None:
@@ -165,6 +165,15 @@ class CandidateSet:
             return cls.from_json(f.read())
 
 
+def _check_target(budget, tolerance, count_mode) -> None:
+    if not (_is_number(tolerance) and 0 < tolerance < 1):
+        raise SearchError(f"tolerance must be in (0, 1), got {tolerance}")
+    if count_mode not in COUNT_MODES:
+        raise SearchError(f"count_mode must be one of {COUNT_MODES}")
+    if not (_is_finite(budget) and budget > 0):
+        raise SearchError(f"budget must be positive and finite, got {budget}")
+
+
 def enumerate_candidates(
     space: SearchSpace, budget: float, tolerance: float, count_mode: str = "total"
 ) -> CandidateSet:
@@ -174,12 +183,7 @@ def enumerate_candidates(
     width descending, then MLP width. An empty result is reported with a
     warning, not an error.
     """
-    if not 0 < tolerance < 1:
-        raise SearchError(f"tolerance must be in (0, 1), got {tolerance}")
-    if count_mode not in COUNT_MODES:
-        raise SearchError(f"count_mode must be one of {COUNT_MODES}")
-    if not (math.isfinite(budget) and budget > 0):
-        raise SearchError(f"budget must be positive and finite, got {budget}")
+    _check_target(budget, tolerance, count_mode)
     lo, hi = space.layer_range
     seen = set()
     rows = []

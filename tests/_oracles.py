@@ -47,6 +47,19 @@ def naive_softmax(x):
     return np.exp(naive_log_softmax(x))
 
 
+def max_shift_softmax_rows(x):
+    """Softmax in ``x``'s own dtype, shifted by ``x.max``: the arithmetic the
+    package's softmax kernel must reproduce byte for byte."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def max_shift_log_softmax_rows(x):
+    """Log-softmax in ``x``'s own dtype, shifted by ``x.max``."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def agg_formula(name, values):
     values = [float(v) for v in values]
     n = len(values)

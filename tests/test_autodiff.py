@@ -7,6 +7,7 @@ import _oracles as oracle
 from trimformer import autodiff as ad
 from trimformer.autodiff import Tape, Tensor
 from trimformer.errors import DataError, ShapeError, TapeError
+from trimformer.model import MASK_FILL
 
 
 def t64(arr, requires_grad=False):
@@ -123,6 +124,45 @@ def test_softmax_uniform_pair():
 def test_softmax_closed_form():
     out = ad.softmax(t64([np.log(2.0), 0.0])).data
     assert np.allclose(out, [2 / 3, 1 / 3], atol=1e-12)
+
+
+def max_test_rows(width, dtype):
+    """Rows that stress an exact max: ties, the causal mask fill, mixed
+    +0.0/-0.0 and +-inf."""
+    rng = np.random.default_rng(width)
+    causal = rng.normal(size=(width, width)) + np.triu(np.full((width, width), MASK_FILL), 1)
+    rows = [
+        rng.normal(size=(8, width)),
+        rng.integers(-2, 3, size=(8, width)),
+        causal[:40],
+        rng.choice([0.0, -0.0, -1.0], size=(8, width)),
+        rng.choice([0.0, -0.0], size=(8, width)),
+        rng.choice([np.inf, -np.inf, 0.5, -2.0], size=(8, width)),
+        np.full((1, width), -np.inf),
+    ]
+    return np.concatenate(rows).astype(dtype)[None]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_row_max_equals_the_max_reduction(dtype):
+    for width in range(1, 301):
+        x = max_test_rows(width, dtype)
+        got, want = ad._row_max(x), x.max(axis=-1, keepdims=True)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want), width
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_kernels_are_byte_identical_to_the_max_shift(dtype):
+    # _row_max may return the other zero of a +0/-0 tie; a zero shift only
+    # moves +-0 entries, exp(+-0) == 1, and a zero log-sum needs a lone max.
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        for width in range(1, 301):
+            x = max_test_rows(width, dtype)
+            assert (ad._softmax_rows(x).tobytes()
+                    == oracle.max_shift_softmax_rows(x).tobytes()), width
+            assert (ad._log_softmax_rows(x).tobytes()
+                    == oracle.max_shift_log_softmax_rows(x).tobytes()), width
 
 
 @given(

@@ -14,6 +14,7 @@ from trimformer.data import ingest_text, sample_calibration, synthetic_markov_te
 from trimformer.distill import conventional_loop
 from trimformer.importance import compute_importance_report
 from trimformer.model import ModelConfig, build_model, perplexity
+from trimformer.search import SearchSpace, enumerate_candidates
 
 MODEL = dict(
     num_layers=2, d_model=16, num_heads=4, num_query_groups=2, d_head=4,
@@ -79,10 +80,18 @@ def workdir(tmp_path_factory):
     ).to_json())
     report["neuron_scores"][0][0] = "high"
     (d / "string_score.json").write_text(json.dumps(report))
+    report["neuron_scores"][0][0] = "1.5"
+    (d / "numeric_string_score.json").write_text(json.dumps(report))
+    report["neuron_scores"][0][0] = math.nan
+    (d / "nan_score.json").write_text(json.dumps(report))
     report["neuron_scores"][0][0] = 0.0
     report["block_bi"] = [{"start": "zero", "length": 1, "score": "high"}]
     (d / "string_block_bi.json").write_text(json.dumps(report))
     (d / "narrow_target.json").write_text(json.dumps({**MODEL, "d_hidden": 16}))
+    space = SearchSpace.from_dict(files["space.json"])
+    manifest = json.loads(enumerate_candidates(space, 10000, 0.5).to_json())
+    manifest["assumptions"]["budget"] = math.inf
+    (d / "inf_budget.json").write_text(json.dumps(manifest))
     return d
 
 
@@ -219,6 +228,21 @@ CASES = {
     "report_block_bi_strings": (
         "prune --ckpt {d}/model.ckpt --report {d}/string_block_bi.json "
         "--target {d}/narrow_target.json --out {d}/o.ckpt",
+        "DataError",
+    ),
+    "report_score_a_numeric_string": (
+        "prune --ckpt {d}/model.ckpt --report {d}/numeric_string_score.json "
+        "--target {d}/narrow_target.json --out {d}/o.ckpt",
+        "DataError",
+    ),
+    "report_score_nan": (
+        "prune --ckpt {d}/model.ckpt --report {d}/nan_score.json "
+        "--target {d}/narrow_target.json --out {d}/o.ckpt",
+        "DataError",
+    ),
+    "candidates_budget_infinity": (
+        "prune --ckpt {d}/model.ckpt --candidates {d}/inf_budget.json --pick L1-H2-M128-E16 "
+        "--out {d}/o.ckpt",
         "DataError",
     ),
     "model_tie_embeddings_a_string": (

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -382,6 +384,25 @@ def test_report_roundtrip(tmp_path):
     assert loaded.agg == report.agg
     assert loaded.calibration_checksum == report.calibration_checksum
     assert np.array_equal(loaded.emb_ranked(), report.emb_ranked())
+
+
+@pytest.mark.parametrize("bad", ["1.5", True, float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("field", [
+    "head_scores", "neuron_scores", "emb_scores", "layer_scores_ppl", "layer_scores_bi",
+    "block_bi",
+])
+def test_report_scores_must_be_finite_numbers(field, bad):
+    text = compute_importance_report(small_model(), toks(2, 6), blocks=[(0, 2)]).to_json()
+    assert ImportanceReport.from_json(text).to_json() == text
+    d = json.loads(text)
+    if field == "block_bi":
+        d[field][0]["score"] = bad
+    elif field in ("head_scores", "neuron_scores"):
+        d[field][0][0] = bad
+    else:
+        d[field][0] = bad
+    with pytest.raises(DataError):
+        ImportanceReport.from_json(json.dumps(d))
 
 
 def test_report_from_a_list_calibration_set_equals_the_array():

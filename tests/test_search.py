@@ -1,4 +1,6 @@
 import itertools
+import json
+import math
 import warnings
 
 import numpy as np
@@ -7,11 +9,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from trimformer.distill import DistillConfig
-from trimformer.errors import SearchError
+from trimformer.errors import DataError, SearchError
 from trimformer.importance import compute_importance_report
 from trimformer.model import ModelConfig, build_model, count_params
 from trimformer.search import (
     COUNT_MODES,
+    CandidateSet,
     SearchSpace,
     enumerate_candidates,
     rank_candidates,
@@ -109,6 +112,22 @@ def test_enumeration_rejects_bad_arguments(budget, tolerance, count_mode):
     space = SearchSpace((1, 2), (2,), (2.0,), (32,), d_head=8, vocab_size=257)
     with pytest.raises(SearchError):
         enumerate_candidates(space, budget, tolerance, count_mode)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("budget", math.inf), ("budget", math.nan), ("budget", "6500"), ("budget", True),
+    ("budget", 0), ("tolerance", "0.2"), ("tolerance", True), ("tolerance", 1.0),
+    ("count_mode", "params"),
+])
+def test_manifest_assumptions_follow_the_enumeration_rules(key, value):
+    space = SearchSpace((1, 2), (2, 4), (8.0,), (8, 16), d_head=4, vocab_size=257,
+                        num_query_groups=2)
+    text = enumerate_candidates(space, 6500, 0.2).to_json()
+    assert CandidateSet.from_json(text).to_json() == text
+    manifest = json.loads(text)
+    manifest["assumptions"][key] = value
+    with pytest.raises(DataError):
+        CandidateSet.from_json(json.dumps(manifest))
 
 
 def test_rank_candidates_ignores_input_order(corpus):
