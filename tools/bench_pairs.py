@@ -1,14 +1,17 @@
 """Alternating parent/change runs of ``bench/run.py``, summarised as one JSON file.
 
-    python3 tools/bench_pairs.py --parent HEAD --out BENCH_11.json \\
-        --workloads rank-toy distill-small compress-cli --pairs 7 --seconds 30
+    python3 tools/bench_pairs.py --parent HEAD~1 --out BENCH_11.json
 
-The parent revision is exported with ``git archive`` into a temporary
-directory; the change is this working tree, uncommitted edits included.
-For each workload and each seed ``first-seed .. first-seed + pairs - 1``
-both sides run ``bench/run.py --trace 0`` in their own process, the parent
-first on odd seeds and the change first on even ones. The output file is
-rewritten after every pair, so an interrupted sweep keeps what it measured.
+Both sides are exported with ``git archive`` into sibling directories of one
+temporary directory, ``parent/`` and ``change/`` (names of equal length), so
+neither runs from a different place than the other. The parent is the given
+revision; the change is this working tree's tracked files, uncommitted edits
+included (``git stash create``, or ``HEAD`` when the tree is clean);
+untracked files are left out. For each of ``bench/run.py``'s three workloads
+and each seed 1-10, both sides run ``bench/run.py --seconds 30 --trace 0`` in
+their own process, the parent first on odd seeds and the change first on even
+ones. The output file is rewritten after every pair, so an interrupted sweep
+keeps what it measured.
 
 Layout: ``meta``; ``summary[workload][metric]`` with each side's median and
 quartiles, ``change_over_parent``, ``change_wins``, ``ties``, ``pairs`` and
@@ -28,35 +31,37 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("rank-toy", "distill-small", "compress-cli")
+SEEDS = range(1, 11)
+SECONDS = 30  # bench/all.sh's default
 
 
 def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True, help="git revision to compare against")
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--workloads", nargs="+", required=True)
-    p.add_argument("--pairs", type=int, default=7)
-    p.add_argument("--first-seed", type=int, default=1)
-    p.add_argument("--seconds", type=float, default=30.0)
     return p.parse_args(argv)
 
 
-def export(rev: str, dest: Path) -> str:
-    """Write the tree of ``rev`` under ``dest``; return its full sha."""
-    sha = subprocess.run(["git", "rev-parse", rev], cwd=ROOT, check=True,
-                         capture_output=True, text=True).stdout.strip()
-    archive = dest / "tree.tar"
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def export(sha: str, dest: Path) -> None:
+    """Write the tree of commit ``sha`` to the new directory ``dest``."""
+    archive = dest.with_suffix(".tar")
     with open(archive, "wb") as f:
         subprocess.run(["git", "archive", sha], cwd=ROOT, check=True, stdout=f)
     with tarfile.open(archive) as tar:
-        tar.extractall(dest / "tree", filter="data")
-    return sha
+        tar.extractall(dest, filter="data")
+    archive.unlink()
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def run_once(root: Path, workload: str, seed: int) -> tuple[dict, dict]:
     """One ``bench/run.py`` process; returns its result line and environment."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
@@ -102,31 +107,34 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    shas = {"parent": git("rev-parse", args.parent),
+            "change": git("rev-parse", git("stash", "create") or "HEAD")}
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
-        sha = export(args.parent, Path(tmp))
-        roots = {"parent": Path(tmp) / "tree", "change": ROOT}
+        roots = {side: Path(tmp) / side for side in shas}
+        for side, sha in shas.items():
+            export(sha, roots[side])
         doc = {
             "meta": {
-                "parent": sha,
-                "change": "working tree",
+                **shas,
+                "trees": "git archive exports in sibling directories parent/ and change/ "
+                         "of one temporary directory",
                 "command": f"python3 bench/run.py --workload <w> --seed <n> --seconds "
-                           f"{args.seconds:g} --trace 0, each run in its own process",
-                "pairs": f"{args.pairs} per workload, seeds {args.first_seed}-"
-                         f"{args.first_seed + args.pairs - 1}; odd seeds ran the parent first, "
-                         "even seeds the change first",
+                           f"{SECONDS} --trace 0, each run in its own process",
+                "pairs": f"{len(SEEDS)} per workload, seeds {SEEDS[0]}-{SEEDS[-1]}; odd seeds "
+                         "ran the parent first, even seeds the change first",
                 "quartiles": "statistics.quantiles(n=4, method='inclusive') over one side's runs",
                 "wins": "ties count for neither side; 'better' per metric from BENCHMARK.json",
             },
             "summary": {},
             "runs": {},
         }
-        for workload in args.workloads:
+        for workload in WORKLOADS:
             doc["runs"][workload] = []
-            for seed in range(args.first_seed, args.first_seed + args.pairs):
+            for seed in SEEDS:
                 order = ("parent", "change") if seed % 2 else ("change", "parent")
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side], env = run_once(roots[side], workload, seed, args.seconds)
+                    pair[side], env = run_once(roots[side], workload, seed)
                     doc["meta"].setdefault("host", {k: v for k, v in env.items()
                                                     if k not in ("seed", "git_sha")})
                     print(f"{workload} seed {seed} {side}: {pair[side]}", flush=True)
