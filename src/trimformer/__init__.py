@@ -29,9 +29,7 @@ from .errors import (
 from .importance import (
     AggregationSpec,
     ImportanceReport,
-    aggregate,
     compute_importance_report,
-    iterative_importance,
     layer_importance_ppl,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -39,13 +37,11 @@ from .model import (
     Model,
     ModelConfig,
     build_model,
-    count_flops_per_step,
     count_params,
     forward,
     lm_loss,
-    perplexity,
 )
-from .pruning import apply_candidate, prune_depth, prune_width
+from .pruning import apply_candidate
 from .search import CandidateSet, SearchSpace, enumerate_candidates, rank_candidates
 
 __version__ = "0.1.0"

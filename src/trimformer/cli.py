@@ -6,8 +6,9 @@ failure raises a typed ``TrimformerError`` (or ``OSError``), printed as one
 JSON error line on stderr, and exits 1.
 
 ``train`` and ``distill`` stream metrics to ``--metrics`` as JSON lines (one
-record per step). The pipeline, from a text corpus (documents separated by
-blank lines)::
+record per step); ``eval`` prints one batch's ``lm_loss`` and its perplexity,
+``exp(lm_loss)``, computed inline from that loss. The pipeline, from a text
+corpus (documents separated by blank lines)::
 
     trimformer train --config exp.json --data corpus.txt --out model.ckpt
     trimformer importance --ckpt model.ckpt --data corpus.txt --out report.json

@@ -86,21 +86,18 @@ class TokenDataset:
                 raise DataError(f"malformed dataset manifest {path}.json: {e!r}") from e
 
 
-def _doc_split(doc_index: int, seed: int, val_fraction: float) -> str:
+def _doc_split(doc_index: int, seed: int) -> str:
+    """The seeded split of one document: "val" for about one in ten."""
     digest = hashlib.sha256(f"{seed}:{doc_index}".encode()).digest()
     frac = int.from_bytes(digest[:8], "little") / 2**64
-    return "val" if frac < val_fraction else "train"
+    return "val" if frac < 0.1 else "train"
 
 
-def tokenize_bytes(text: str | bytes) -> list[int]:
-    data = text.encode("utf-8") if isinstance(text, str) else text
-    return list(data)
-
-
-def ingest_text(path: str, seed: int = 0, val_fraction: float = 0.1) -> TokenDataset:
+def ingest_text(path: str, seed: int = 0) -> TokenDataset:
     """Byte-level tokenization of a text file into a split TokenDataset.
 
-    Documents are blank-line separated; each gets a trailing separator token.
+    Documents are blank-line separated; each byte is one token, and each
+    document gets a trailing separator token.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -111,9 +108,9 @@ def ingest_text(path: str, seed: int = 0, val_fraction: float = 0.1) -> TokenDat
     spans: list[DocSpan] = []
     for i, doc in enumerate(docs):
         start = len(ids)
-        ids.extend(tokenize_bytes(doc))
+        ids.extend(doc)
         ids.append(DOC_SEPARATOR)
-        spans.append(DocSpan(start, len(ids), _doc_split(i, seed, val_fraction)))
+        spans.append(DocSpan(start, len(ids), _doc_split(i, seed)))
     return TokenDataset(np.array(ids, dtype=np.uint32), BYTE_VOCAB, spans)
 
 
@@ -136,27 +133,24 @@ def sample_calibration(
 
 
 def sample_batch(
-    dataset: TokenDataset, rng: np.random.Generator, batch_size: int, seq_len: int,
-    split: str = "train",
+    dataset: TokenDataset, rng: np.random.Generator, batch_size: int, seq_len: int
 ) -> np.ndarray:
-    """Training batch of random windows (with replacement)."""
-    stream = dataset.split_ids(split)
+    """Training batch of random windows (with replacement) from the train split."""
+    stream = dataset.split_ids("train")
     n_starts = stream.size - seq_len + 1
     if n_starts < 1:
-        raise DataError(f"split {split!r} shorter than seq_len {seq_len}")
+        raise DataError(f"split 'train' shorter than seq_len {seq_len}")
     starts = rng.integers(0, n_starts, size=batch_size)
     return np.stack([stream[s : s + seq_len] for s in starts]).astype(np.int64)
 
 
-def synthetic_markov_text(
-    n_docs: int, doc_len: int, seed: int, alphabet: str = string.ascii_lowercase,
-    branching: int = 4,
-) -> str:
-    """Deterministic bigram-structured demo corpus.
+def synthetic_markov_text(n_docs: int, doc_len: int, seed: int) -> str:
+    """Deterministic bigram-structured demo corpus over the lowercase letters.
 
-    Each symbol transitions to one of ``branching`` successors with skewed
-    probabilities, giving the language model something learnable.
+    Each letter transitions to one of four successors with skewed
+    probabilities (4:3:2:1), giving the language model something learnable.
     """
+    alphabet, branching = string.ascii_lowercase, 4
     rng = np.random.default_rng(seed)
     k = len(alphabet)
     successors = np.stack([rng.permutation(k)[:branching] for _ in range(k)])

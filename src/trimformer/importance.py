@@ -12,7 +12,9 @@ records onto a gradient tape — callers inside a tape context get an error.
 
 Per-head and per-neuron scores are ranked within their own layer; embedding
 channel scores are aggregated per LayerNorm site and then summed across all
-sites network-wide, since the residual stream shares channel identity.
+sites network-wide, since the residual stream shares channel identity. A
+report stores scores only: the pruner ranks them itself, and a ``rankings``
+key in a stored report is ignored on load.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from . import autodiff as ad
 from .checkpoint import write_atomic
 from .errors import ConfigError, DataError, PruneError
 from .model import Model, _is_finite, _is_int, forward
-from .pruning import apply_candidate, resolve_query_groups
 
 _AGG_ALIASES = {"mean": "mean_abs", "var": "variance", "l2": "l2"}
 _AGG_NAMES = ("mean_abs", "l2", "variance")
@@ -75,15 +76,6 @@ class AggregationSpec:
     @classmethod
     def from_dict(cls, d):
         return cls(**d)
-
-
-def aggregate(scores: np.ndarray, spec: AggregationSpec) -> float:
-    """Collapse per-token scores ``[batch, seq]`` to one scalar."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 2 or scores.size == 0:
-        raise DataError("aggregate expects a non-empty [batch, seq] array")
-    per_sample = _apply_agg(spec.seq_fn, scores, axis=1)
-    return float(_apply_agg(spec.batch_fn, per_sample, axis=0))
 
 
 def _require_no_tape(op: str) -> None:
@@ -194,8 +186,9 @@ def layer_importance_ppl(model: Model, calib: np.ndarray) -> np.ndarray:
 class ImportanceReport:
     """Score vectors per axis plus the spec and calibration fingerprint.
 
-    Rankings are derived, not stored: stable argsort, descending score,
-    lower index first on ties.
+    Rankings are derived, not stored: the pruner sorts by descending score,
+    lower index first on ties. :meth:`from_json` ignores unknown keys, so a
+    report that carries a ``rankings`` object still loads.
     """
 
     head_scores: np.ndarray  # [layer, head]
@@ -207,30 +200,10 @@ class ImportanceReport:
     agg: AggregationSpec
     calibration_checksum: str
 
-    @staticmethod
-    def _rank_desc(scores: np.ndarray) -> np.ndarray:
-        # Stable sort on negated scores: descending, ties by lower index.
-        return np.argsort(-np.asarray(scores), kind="stable")
-
-    def heads_ranked(self, layer: int) -> np.ndarray:
-        return self._rank_desc(self.head_scores[layer])
-
-    def neurons_ranked(self, layer: int) -> np.ndarray:
-        return self._rank_desc(self.neuron_scores[layer])
-
-    def emb_ranked(self) -> np.ndarray:
-        return self._rank_desc(self.emb_scores)
-
     def layer_scores(self, metric: str) -> np.ndarray | None:
         """Depth scores under ``metric`` (one of :data:`DEPTH_METRICS`), or
         None when the report was made without them."""
         return getattr(self, _depth_field(metric))
-
-    def layers_ranked(self, metric: str = "ppl") -> np.ndarray:
-        scores = self.layer_scores(metric)
-        if scores is None:
-            raise DataError(f"report is missing {metric} layer scores")
-        return self._rank_desc(scores)
 
     def to_json(self) -> str:
         payload = {
@@ -249,11 +222,6 @@ class ImportanceReport:
                 {"start": s, "length": ln, "score": v}
                 for (s, ln), v in sorted(self.block_bi_scores.items())
             ],
-            "rankings": {
-                "heads": [self.heads_ranked(i).tolist() for i in range(len(self.head_scores))],
-                "neurons": [self.neurons_ranked(i).tolist() for i in range(len(self.neuron_scores))],
-                "emb": self.emb_ranked().tolist(),
-            },
         }
         return json.dumps(payload, indent=1)
 
@@ -336,69 +304,3 @@ def compute_importance_report(
         agg=spec,
         calibration_checksum=calibration_checksum(calib),
     )
-
-
-_ITER_AXES = ("heads", "neurons", "emb", "layers")
-
-
-def iterative_importance(
-    model: Model,
-    calib: np.ndarray,
-    axis_targets: dict[str, int],
-    T: int,
-    spec: AggregationSpec | None = None,
-    depth_metric: str = "ppl",
-) -> Model:
-    """Alternate importance estimation and partial pruning for ``T`` rounds.
-
-    Each axis shrinks by (source - target) / T per round, which must divide
-    evenly. ``T=1`` is exactly single-shot pruning.
-    """
-    _depth_field(depth_metric)  # a misspelled metric fails before any scoring
-    spec = spec or AggregationSpec()
-    if T < 1:
-        raise ConfigError("iteration count T must be >= 1")
-    unknown = set(axis_targets) - set(_ITER_AXES)
-    if unknown:
-        raise ConfigError(f"unknown pruning axes {sorted(unknown)}; use {_ITER_AXES}")
-    cfg = model.config
-    current = {
-        "heads": cfg.num_heads,
-        "neurons": cfg.d_hidden,
-        "emb": cfg.d_model,
-        "layers": cfg.num_layers,
-    }
-    steps = {}
-    for axis, target in axis_targets.items():
-        delta = current[axis] - target
-        if delta < 0:
-            raise PruneError(f"{axis} target {target} exceeds source {current[axis]}")
-        if delta % T != 0:
-            raise PruneError(
-                f"{axis} reduction {delta} is not divisible by T={T}"
-            )
-        steps[axis] = delta // T
-    for _ in range(T):
-        for axis in steps:
-            current[axis] -= steps[axis]
-        target_cfg = model.config.with_(
-            num_heads=current["heads"],
-            d_hidden=current["neurons"],
-            d_model=current["emb"],
-            num_layers=current["layers"],
-            num_query_groups=resolve_query_groups(
-                model.config.num_query_groups, current["heads"]
-            ),
-        )
-        if target_cfg == model.config:
-            continue
-        needs_depth = target_cfg.num_layers < model.config.num_layers
-        report = compute_importance_report(
-            model,
-            calib,
-            spec,
-            include_ppl=needs_depth and depth_metric == "ppl",
-            include_bi=needs_depth and depth_metric == "bi",
-        )
-        model = apply_candidate(model, target_cfg, report, depth_metric=depth_metric)
-    return model

@@ -123,11 +123,6 @@ def count_params(config: ModelConfig) -> ParamCounts:
     return ParamCounts(total, non_emb)
 
 
-def count_flops_per_step(config: ModelConfig, batch_size: int, seq_len: int) -> float:
-    """Training-step FLOP estimate via the standard 6 * params * tokens rule."""
-    return 6.0 * count_params(config).total * batch_size * seq_len
-
-
 class Model:
     """Weight container: an ordered name -> Tensor mapping plus its config."""
 
@@ -327,8 +322,3 @@ def lm_loss(model: Model, tokens: np.ndarray) -> Tensor:
         raise DataError("lm_loss needs [batch, seq>=2] token arrays")
     logits, _ = forward(model, tokens)
     return ad.cross_entropy(logits, tokens[:, 1:])
-
-
-def perplexity(model: Model, tokens: np.ndarray) -> float:
-    """``exp(lm_loss)`` over one ``[batch, seq>=2]`` token array."""
-    return math.exp(lm_loss(model, tokens).item())

@@ -4,10 +4,11 @@ Pruning is one decision, which units of the source survive, made in one
 place: ``_prune`` picks one globally ranked set of embedding channels, then
 for each kept source block the heads and MLP channels from that block's own
 score rows (folding pruned heads into kept ones when asked), then gathers
-every tensor of the target once. Width pruning, depth pruning (whole blocks)
-and candidate application are entries into it. Kept units preserve their
-original relative order, so pruning a model to its own configuration is the
-bit-level identity.
+every tensor of the target once. :func:`apply_candidate` is its one entry:
+a target of the source's depth prunes width only, and ``layers_to_remove``
+(or the report's depth scores) removes whole blocks. Kept units preserve
+their original relative order, so pruning a model to its own configuration
+is the bit-level identity.
 
 Grouped-query layouts constrain head removal: a valid target needs a uniform
 head count per query group, so heads are kept top-k *within* each surviving
@@ -17,16 +18,12 @@ with one head per group this reduces to a plain per-layer top-k).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from .autodiff import Tensor
 from .errors import PruneError
+from .importance import ImportanceReport
 from .model import Model, ModelConfig, _layer_param_shapes
-
-if TYPE_CHECKING:
-    from .importance import ImportanceReport
 
 _ATTN = ("attn.wq", "attn.wk", "attn.wv", "attn.wo")
 
@@ -192,23 +189,6 @@ def _kept_layers(num_layers: int, layer_indices) -> list[int]:
     if len(removed) >= num_layers:
         raise PruneError("cannot remove every layer")
     return [i for i in range(num_layers) if i not in removed]
-
-
-def prune_width(
-    model: Model, target: ModelConfig, report: ImportanceReport | None = None,
-    merge_heads: bool = False,
-) -> Model:
-    """Trim heads, MLP channels and embedding channels down to ``target``,
-    ranked by ``report``; ``merge_heads`` folds pruned heads into kept ones."""
-    if target.num_layers != model.config.num_layers:
-        raise PruneError("prune_width cannot change depth; use prune_depth first")
-    return _prune(model, target, report, list(range(target.num_layers)), merge_heads)
-
-
-def prune_depth(model: Model, layer_indices) -> Model:
-    """Remove whole blocks; the residual stream rewires directly."""
-    kept = _kept_layers(model.config.num_layers, layer_indices)
-    return _prune(model, model.config.with_(num_layers=len(kept)), None, kept, False)
 
 
 def least_important_layers(

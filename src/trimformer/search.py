@@ -20,7 +20,7 @@ from .checkpoint import write_atomic
 from .distill import DistillConfig, distill_loop
 from .errors import DataError, SearchError
 from .importance import ImportanceReport
-from .model import Model, ModelConfig, _is_finite, _is_number, count_params
+from .model import Model, ModelConfig, _is_finite, _is_int, _is_number, count_params
 from .pruning import apply_candidate, resolve_query_groups
 
 MLP_SNAP = 128
@@ -99,14 +99,24 @@ class Candidate:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Candidate":
-        return cls(
-            config=ModelConfig.from_dict(d["config"]),
-            total_params=d["total_params"],
-            non_embedding_params=d["non_embedding_params"],
-            label=d["label"],
-            eval_loss=d.get("eval_loss"),
-            eval_trajectory=[tuple(p) for p in d.get("eval_trajectory", [])],
-        )
+        """Checked: a string label, the config's own parameter counts, a null
+        or finite eval loss, and ``[step >= 0, finite loss]`` trajectory points."""
+        config = ModelConfig.from_dict(d["config"])
+        if not isinstance(d["label"], str):
+            raise TypeError(f"candidate label must be a string, got {d['label']!r}")
+        for key, want in zip(("total_params", "non_embedding_params"), count_params(config)):
+            if not (_is_int(d[key], 0) and d[key] == want):
+                raise ValueError(f"{d['label']}: {key} is {d[key]!r}, its config has {want}")
+        eval_loss = d.get("eval_loss")
+        if not (eval_loss is None or _is_finite(eval_loss)):
+            raise ValueError(f"{d['label']}: eval_loss must be null or finite, got {eval_loss!r}")
+        trajectory = [tuple(p) for p in d.get("eval_trajectory", [])]
+        for point in trajectory:
+            if not (len(point) == 2 and _is_int(point[0], 0) and _is_finite(point[1])):
+                raise ValueError(f"{d['label']}: eval_trajectory point {list(point)!r} "
+                                 "must be [step >= 0, finite loss]")
+        return cls(config, d["total_params"], d["non_embedding_params"], d["label"],
+                   eval_loss, trajectory)
 
 
 @dataclass

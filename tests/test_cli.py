@@ -13,7 +13,7 @@ from trimformer.checkpoint import load_checkpoint, save_checkpoint
 from trimformer.data import ingest_text, sample_calibration, synthetic_markov_text
 from trimformer.distill import conventional_loop
 from trimformer.importance import compute_importance_report
-from trimformer.model import ModelConfig, build_model, perplexity
+from trimformer.model import ModelConfig, build_model, count_params, lm_loss
 from trimformer.search import SearchSpace, enumerate_candidates
 
 MODEL = dict(
@@ -92,6 +92,22 @@ def workdir(tmp_path_factory):
     manifest = json.loads(enumerate_candidates(space, 10000, 0.5).to_json())
     manifest["assumptions"]["budget"] = math.inf
     (d / "inf_budget.json").write_text(json.dumps(manifest))
+    # Two one-block candidates that model.ckpt prunes to with --remove-layers 1.
+    manifest["assumptions"]["budget"] = 10000
+    shallow = ModelConfig(**{**MODEL, "num_layers": 1})
+    counts = count_params(shallow)
+    first, second = ({
+        "label": label, "config": shallow.to_dict(), "total_params": counts.total,
+        "non_embedding_params": counts.non_embedding, "eval_loss": 1.0, "eval_trajectory": [],
+    } for label in ("first", "second"))
+    manifest["candidates"] = [first, second]
+    for name, edit in (
+        ("string_eval_loss", {"eval_loss": "low"}),
+        ("nan_eval_loss", {"eval_loss": math.nan}),
+        ("wrong_total_params", {"eval_loss": None, "total_params": counts.total + 1}),
+    ):
+        first.update(edit)
+        (d / f"{name}.json").write_text(json.dumps(manifest))
     return d
 
 
@@ -245,6 +261,21 @@ CASES = {
         "--out {d}/o.ckpt",
         "DataError",
     ),
+    "candidates_eval_loss_a_string": (
+        "prune --ckpt {d}/model.ckpt --candidates {d}/string_eval_loss.json "
+        "--remove-layers 1 --out {d}/o.ckpt",
+        "DataError",
+    ),
+    "candidates_eval_loss_nan": (
+        "prune --ckpt {d}/model.ckpt --candidates {d}/nan_eval_loss.json "
+        "--remove-layers 1 --out {d}/o.ckpt",
+        "DataError",
+    ),
+    "candidates_total_params_wrong": (
+        "prune --ckpt {d}/model.ckpt --candidates {d}/wrong_total_params.json "
+        "--remove-layers 1 --out {d}/o.ckpt",
+        "DataError",
+    ),
     "model_tie_embeddings_a_string": (
         "train --config {d}/string_tie.json --data {d}/corpus.txt --out {d}/o.ckpt",
         "ConfigError",
@@ -351,4 +382,5 @@ def test_eval_runs_one_forward(workdir, capsys, monkeypatch):
     line = json.loads(capsys.readouterr().out)
     assert line["perplexity"] == math.exp(line["lm_loss"])
     batch = sample_calibration(ingest_text(str(workdir / "corpus.txt"), seed=0), 4, 8, 0)
-    assert line["perplexity"] == perplexity(load_checkpoint(str(workdir / "model.ckpt")), batch)
+    loss = lm_loss(load_checkpoint(str(workdir / "model.ckpt")), batch).item()
+    assert line["perplexity"] == math.exp(loss)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,14 +12,13 @@ from trimformer.errors import ConfigError, DataError, PruneError
 from trimformer.importance import (
     AggregationSpec,
     ImportanceReport,
+    _apply_agg,
     _cosine_rows,
-    aggregate,
     compute_importance_report,
-    iterative_importance,
     layer_importance_ppl,
 )
-from trimformer.model import ModelConfig, build_model, perplexity
-from trimformer.pruning import apply_candidate, prune_depth
+from trimformer.model import ModelConfig, build_model, lm_loss
+from trimformer.pruning import apply_candidate
 
 AGGS = ("mean_abs", "l2", "variance")
 
@@ -45,6 +45,14 @@ def report(m, calib, spec=None, include_bi=False, blocks=None):
 
 
 # ---------------------------------------------------------------- aggregate
+
+
+def aggregate(scores, spec):
+    """The two reductions ``_calibration_pass`` makes of one channel's
+    per-token scores ``[batch, seq]``: ``spec.seq_fn`` over the sequence of
+    each sample, then ``spec.batch_fn`` over the samples."""
+    per_sample = _apply_agg(spec.seq_fn, np.asarray(scores, dtype=np.float64), axis=1)
+    return float(_apply_agg(spec.batch_fn, per_sample, axis=0))
 
 
 def test_aggregate_hand_computed_sequence():
@@ -75,8 +83,9 @@ def test_aggregate_alias_names():
 
 
 def test_aggregate_empty():
+    # An empty calibration set leaves nothing to aggregate.
     with pytest.raises(DataError):
-        aggregate(np.zeros((0, 3)), AggregationSpec())
+        compute_importance_report(small_model(), np.zeros((0, 6), int))
 
 
 @given(
@@ -255,7 +264,8 @@ def _assert_ppl_scores_match_remove_and_eval(dtype, n):
     calib = toks(n, 8)
     scores = layer_importance_ppl(m, calib)
     for i in range(3):
-        assert scores[i] == perplexity(prune_depth(m, [i]), calib)
+        removed = apply_candidate(m, m.config.with_(num_layers=2), None, layers_to_remove=[i])
+        assert scores[i] == math.exp(lm_loss(removed, calib).item())
 
 
 def test_ppl_importance_matches_remove_and_eval_loop():
@@ -286,7 +296,7 @@ def test_ppl_importance_exactly_removable_layer(toy_teacher, calib):
     m = toy_teacher.copy()
     m.params["layers.1.attn.wo"].data[:] = 0
     m.params["layers.1.mlp.w2"].data[:] = 0
-    base_ppl = perplexity(m, calib)
+    base_ppl = math.exp(lm_loss(m, calib).item())
     scores = layer_importance_ppl(m, calib)
     assert scores[1] == base_ppl  # removal changes nothing
     others = np.delete(scores, 1)
@@ -383,7 +393,15 @@ def test_report_roundtrip(tmp_path):
     assert loaded.block_bi_scores == report.block_bi_scores
     assert loaded.agg == report.agg
     assert loaded.calibration_checksum == report.calibration_checksum
-    assert np.array_equal(loaded.emb_ranked(), report.emb_ranked())
+
+
+def test_report_stores_no_rankings_and_ignores_stored_ones():
+    # Reports written before rankings were dropped carry a "rankings" object.
+    text = compute_importance_report(small_model(), toks(4, 8), blocks=[(0, 2)]).to_json()
+    d = json.loads(text)
+    assert "rankings" not in d
+    d["rankings"] = {"heads": [[1, 0, 3, 2]] * 2, "neurons": "unread", "emb": None}
+    assert ImportanceReport.from_json(json.dumps(d)).to_json() == text
 
 
 @pytest.mark.parametrize("bad", ["1.5", True, float("nan"), float("inf"), -float("inf")])
@@ -413,45 +431,3 @@ def test_report_from_a_list_calibration_set_equals_the_array():
     want = compute_importance_report(m, calib, blocks=[(0, 2)])
     got = compute_importance_report(m, calib.tolist(), blocks=[(0, 2)])
     assert got.to_json() == want.to_json()
-
-
-# ---------------------------------------------------------------- iterative
-
-
-def test_iterative_t1_equals_single_shot():
-    m = small_model(dtype=np.float32)
-    calib = toks(4, 8)
-    iterated = iterative_importance(m, calib, {"emb": 8, "neurons": 16}, T=1)
-    report = compute_importance_report(m, calib, include_ppl=False, include_bi=False)
-    single = apply_candidate(m, m.config.with_(d_model=8, d_hidden=16), report)
-    for name in single.params:
-        assert np.array_equal(iterated.params[name].data, single.params[name].data)
-
-
-def test_iterative_divisibility_and_target_errors():
-    m = small_model()
-    calib = toks(2, 6)
-    with pytest.raises(PruneError):
-        iterative_importance(m, calib, {"emb": 9}, T=2)  # 16-9=7 not divisible
-    with pytest.raises(PruneError):
-        iterative_importance(m, calib, {"emb": 20}, T=1)
-    with pytest.raises(ConfigError):
-        iterative_importance(m, calib, {"bogus": 2}, T=1)
-
-
-def test_iterative_two_rounds_remove_both_dead_sets():
-    # Four channels are dead (never contribute): the first set scores exactly
-    # zero, the second is epsilon-scaled so round one removes set one and the
-    # re-scored round two removes set two.
-    m = small_model(dtype=np.float64)
-    set1, set2 = [0, 1], [2, 3]
-    for name, p in m.params.items():
-        if name.endswith(("gamma", "beta")):
-            p.data[set1] = 0.0
-            p.data[set2] *= 1e-6
-    calib = toks(4, 8)
-    pruned = iterative_importance(m, calib, {"emb": 12}, T=2)
-    assert pruned.config.d_model == 12
-    # Surviving channels are exactly the live ones, in original order.
-    live = m.params["embedding"].data[:, 4:]
-    assert np.allclose(pruned.params["embedding"].data, live)

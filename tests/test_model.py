@@ -9,13 +9,11 @@ from trimformer.errors import ConfigError, DataError
 from trimformer.model import (
     ModelConfig,
     build_model,
-    count_flops_per_step,
     count_params,
     forward,
     lm_loss,
-    perplexity,
 )
-from trimformer.pruning import prune_depth
+from trimformer.pruning import apply_candidate
 
 NEMOTRON_15B = ModelConfig(32, 6144, 48, 8, 128, 24576, 256000, max_seq_len=4096)
 DERIVED_8B = ModelConfig(32, 4096, 48, 8, 128, 16384, 256000, max_seq_len=4096)
@@ -75,6 +73,8 @@ def test_count_params_matches_tensor_walk(toy_config):
     counts = count_params(toy_config)
     assert counts.total == walked
     assert counts.non_embedding == walked - emb - head
+    zero_layer = small_config(num_layers=0)
+    assert count_params(zero_layer).non_embedding == 2 * zero_layer.d_model
 
 
 @pytest.mark.parametrize(
@@ -89,18 +89,6 @@ def test_count_params_published_sizes(config, total, non_emb):
     counts = count_params(config)
     assert abs(counts.total - total) / total < 0.01
     assert abs(counts.non_embedding - non_emb) / non_emb < 0.01
-
-
-def test_flops_estimate():
-    # 1152-sequence batches at 4096 tokens for the 15B-scale config.
-    flops = count_flops_per_step(NEMOTRON_15B, batch_size=1152, seq_len=4096)
-    assert abs(flops - 4.4e17) / 4.4e17 < 0.15
-    zero_layer = small_config(num_layers=0)
-    flops0 = count_flops_per_step(zero_layer, 2, 8)
-    assert flops0 == 6.0 * count_params(zero_layer).total * 16
-    assert count_params(zero_layer).non_embedding == 2 * zero_layer.d_model
-    toy = small_config()
-    assert count_flops_per_step(toy, 3, 5) == 6.0 * count_params(toy).total * 15
 
 
 # ---------------------------------------------------------------- forward
@@ -161,7 +149,8 @@ def test_zeroed_layer_is_exactly_removable():
     m.params["layers.1.mlp.w2"].data[:] = 0
     toks = np.array([[1, 2, 3, 4, 5, 6]])
     full, _ = forward(m, toks)
-    removed, _ = forward(prune_depth(m, [1]), toks)
+    pruned = apply_candidate(m, cfg.with_(num_layers=2), None, layers_to_remove=[1])
+    removed, _ = forward(pruned, toks)
     assert np.array_equal(full.data, removed.data)
 
 
@@ -239,20 +228,14 @@ def test_capture_only_records_no_gradient_state(toy_config):
 def test_perplexity_near_vocab_at_init(toy_config):
     m = build_model(toy_config, seed=0)
     toks = np.random.default_rng(0).integers(0, 257, size=(4, 24))
-    ppl = perplexity(m, toks)
+    ppl = math.exp(lm_loss(m, toks).item())
     assert abs(ppl - 257) / 257 < 0.2
-
-
-def test_perplexity_equals_exp_lm_loss(toy_config):
-    m = build_model(toy_config, seed=0)
-    toks = np.random.default_rng(1).integers(0, 257, size=(3, 16))
-    assert perplexity(m, toks) == pytest.approx(math.exp(lm_loss(m, toks).item()), rel=1e-12)
 
 
 def test_perplexity_empty_dataset():
     m = build_model(small_config(), seed=0)
     with pytest.raises(DataError):
-        perplexity(m, [])
+        lm_loss(m, [])
 
 
 def test_forced_bigram_model_hits_entropy_exponential():
@@ -284,7 +267,7 @@ def test_forced_bigram_model_hits_entropy_exponential():
         for _ in range(31):
             seq.append((seq[-1] + int(rng.choice([1, 2]))) % v)
         seqs.append(seq)
-    ppl = perplexity(m, np.array(seqs))
+    ppl = math.exp(lm_loss(m, np.array(seqs)).item())
     assert abs(ppl - 2.0) < 1e-6
 
 

@@ -2,18 +2,12 @@ import numpy as np
 import pytest
 
 from trimformer.errors import ConfigError, PruneError
-from trimformer.importance import (
-    ImportanceReport,
-    compute_importance_report,
-    iterative_importance,
-)
+from trimformer.importance import ImportanceReport, compute_importance_report
 from trimformer.model import ModelConfig, _layer_param_shapes, build_model, count_params, forward
 from trimformer.pruning import (
     apply_candidate,
     least_important_layers,
     merge_pairs,
-    prune_depth,
-    prune_width,
     resolve_query_groups,
 )
 
@@ -40,16 +34,36 @@ def assert_bit_identical(a, b):
         assert np.array_equal(a.params[name].data, b.params[name].data), name
 
 
+def remove_layers(model, layers):
+    """``model`` without the blocks ``layers``, pruned through
+    :func:`apply_candidate` with an explicit list."""
+    target = model.config.with_(num_layers=model.config.num_layers - len(set(layers)))
+    return apply_candidate(model, target, None, layers_to_remove=layers)
+
+
+def assert_blocks_from(pruned, source, kept):
+    """Every tensor of ``pruned`` is the source's, block ``i`` being source
+    block ``kept[i]``."""
+    assert list(pruned.params) == [name for name, _ in _layer_param_shapes(pruned.config)]
+    for name, p in pruned.params.items():
+        if name.startswith("layers."):
+            _, i, local = name.split(".", 2)
+            name_in_source = f"layers.{kept[int(i)]}.{local}"
+        else:
+            name_in_source = name
+        assert np.array_equal(p.data, source.params[name_in_source].data), name
+
+
 # ---------------------------------------------------------------- identity
 
 
 def test_prune_to_self_is_bit_identity():
     m = build_model(small_config(), seed=0)
-    pruned = prune_width(m, m.config)
+    pruned = apply_candidate(m, m.config, None)
     assert_bit_identical(m, pruned)
     # With merge requested the no-op path must still be the identity.
     rep = report_for(m)
-    pruned2 = prune_width(m, m.config, rep, merge_heads=True)
+    pruned2 = apply_candidate(m, m.config, rep, merge_heads=True)
     assert_bit_identical(m, pruned2)
 
 
@@ -69,7 +83,7 @@ def test_dead_neurons_prune_exactly():
         m.params[f"layers.{layer}.mlp.w1"].data[dead] = 0.0
     rep = report_for(m)
     target = m.config.with_(d_hidden=29)
-    pruned = prune_width(m, target, rep)
+    pruned = apply_candidate(m, target, rep)
     toks = np.random.default_rng(3).integers(0, 19, size=(2, 8))
     base, _ = forward(m, toks)
     after, _ = forward(pruned, toks)
@@ -91,7 +105,7 @@ def test_dead_heads_prune_exactly():
     rep.head_scores[:, 1] = 0.0
     rep.head_scores[:, 3] = 0.0
     target = m.config.with_(num_heads=2)
-    pruned = prune_width(m, target, rep)
+    pruned = apply_candidate(m, target, rep)
     toks = np.random.default_rng(5).integers(0, 19, size=(2, 8))
     base, _ = forward(m, toks)
     after, _ = forward(pruned, toks)
@@ -119,7 +133,7 @@ def test_dead_embedding_channels_prune_exactly():
     rep = report_for(m)
     assert rep.emb_scores[dead[0]] == 0.0 and rep.emb_scores[dead[1]] == 0.0
     target = m.config.with_(d_model=14)
-    pruned = prune_width(m, target, rep)
+    pruned = apply_candidate(m, target, rep)
     toks = np.random.default_rng(8).integers(0, 19, size=(2, 8))
     base, _ = forward(m, toks)
     after, _ = forward(pruned, toks)
@@ -132,7 +146,7 @@ def test_removing_passthrough_layer_is_bit_exact():
     m.params["layers.1.mlp.w2"].data[:] = 0
     toks = np.random.default_rng(10).integers(0, 19, size=(2, 8))
     base, _ = forward(m, toks)
-    after, _ = forward(prune_depth(m, [1]), toks)
+    after, _ = forward(remove_layers(m, [1]), toks)
     assert np.array_equal(base.data, after.data)
 
 
@@ -143,7 +157,7 @@ def test_prune_width_matches_independent_slicing():
     m = build_model(small_config(), seed=11)
     rep = report_for(m)
     target = small_config(d_model=10, num_heads=2, d_hidden=20)
-    pruned = prune_width(m, target, rep)
+    pruned = apply_candidate(m, target, rep)
 
     # Independent selection: top-k per axis, original order preserved.
     def top(scores, k):
@@ -178,7 +192,7 @@ def test_pruned_count_matches_target_config():
     m = build_model(small_config(), seed=12)
     rep = report_for(m)
     target = small_config(d_model=8, num_heads=2, d_hidden=16)
-    pruned = prune_width(m, target, rep)
+    pruned = apply_candidate(m, target, rep)
     walked = sum(int(np.prod(p.data.shape)) for p in pruned.params.values())
     assert walked == count_params(target).total
 
@@ -189,13 +203,11 @@ def test_pruned_count_matches_target_config():
 def test_prune_width_validation_errors():
     m = build_model(small_config(), seed=13)
     with pytest.raises(PruneError):
-        prune_width(m, small_config(d_model=32))  # grows
+        apply_candidate(m, small_config(d_model=32), None)  # grows
     with pytest.raises(PruneError):
-        prune_width(m, small_config(d_model=8))  # no rankings
+        apply_candidate(m, small_config(d_model=8), None)  # no rankings
     with pytest.raises(PruneError):
-        prune_width(m, small_config(num_layers=1))  # depth change
-    with pytest.raises(PruneError):
-        prune_width(m, small_config(d_head=2))
+        apply_candidate(m, small_config(d_head=2), None)
 
 
 def test_incomplete_rankings_rejected():
@@ -212,7 +224,7 @@ def test_incomplete_rankings_rejected():
         calibration_checksum=rep.calibration_checksum,
     )
     with pytest.raises(PruneError):
-        prune_width(m, small_config(num_heads=2), bad)
+        apply_candidate(m, small_config(num_heads=2), bad)
 
 
 # ---------------------------------------------------------------- depth
@@ -220,12 +232,12 @@ def test_incomplete_rankings_rejected():
 
 def test_prune_depth_none_is_identity():
     m = build_model(small_config(), seed=15)
-    assert_bit_identical(m, prune_depth(m, []))
+    assert_bit_identical(m, remove_layers(m, []))
 
 
 def test_prune_depth_matches_rebuilt_model():
     m = build_model(small_config(num_layers=4), seed=16)
-    pruned = prune_depth(m, [0, 2])
+    pruned = remove_layers(m, [0, 2])
     rebuilt = build_model(small_config(num_layers=2), seed=99)
     surviving = {0: 1, 1: 3}
     for new_i, old_i in surviving.items():
@@ -244,10 +256,10 @@ def test_prune_depth_matches_rebuilt_model():
 
 def test_prune_depth_errors():
     m = build_model(small_config(), seed=18)
-    with pytest.raises(PruneError):
-        prune_depth(m, [0, 1])
-    with pytest.raises(PruneError):
-        prune_depth(m, [5])
+    with pytest.raises(PruneError, match="cannot remove every layer"):
+        remove_layers(m, [0, 1])
+    with pytest.raises(PruneError, match="out of range"):
+        remove_layers(m, [5])
 
 
 # ---------------------------------------------------------------- merge
@@ -278,7 +290,7 @@ def test_merge_four_into_three():
     rep.head_scores[0] = np.array([10.0, 9.0, 8.0, 7.0])  # rank == index
     orig = m.params["layers.0.attn.wq"].data.copy()
     target = m.config.with_(num_heads=3)
-    pruned = prune_width(m, target, rep, merge_heads=True)
+    pruned = apply_candidate(m, target, rep, merge_heads=True)
     got = pruned.params["layers.0.attn.wq"].data
     assert np.array_equal(got[0:dh], orig[0:dh])
     assert np.array_equal(got[dh : 2 * dh], orig[dh : 2 * dh])
@@ -294,8 +306,8 @@ def test_merge_with_identical_partner_is_noop():
     rep = report_for(m)
     rep.head_scores[0] = np.array([10.0, 9.0, 8.0, 7.0])
     target = m.config.with_(num_heads=3)
-    merged = prune_width(m, target, rep, merge_heads=True)
-    plain = prune_width(m, target, rep)
+    merged = apply_candidate(m, target, rep, merge_heads=True)
+    plain = apply_candidate(m, target, rep)
     assert_bit_identical(merged, plain)
 
 
@@ -303,7 +315,7 @@ def test_merge_disabled_is_plain_trim():
     m = merge_model()
     rep = report_for(m)
     target = m.config.with_(num_heads=3)
-    plain = prune_width(m, target, rep)
+    plain = apply_candidate(m, target, rep)
     dh = m.config.d_head
     kept = np.sort(np.argsort(-rep.head_scores[0], kind="stable")[:3])
     rows = np.concatenate([np.arange(h * dh, (h + 1) * dh) for h in kept])
@@ -317,7 +329,7 @@ def test_merge_more_than_half_raises():
     rep = report_for(m)
     target = m.config.with_(num_heads=1)
     with pytest.raises(PruneError):
-        prune_width(m, target, rep, merge_heads=True)
+        apply_candidate(m, target, rep, merge_heads=True)
 
 
 def test_merge_mha_touches_kv_and_output():
@@ -328,7 +340,7 @@ def test_merge_mha_touches_kv_and_output():
     rep.head_scores[0] = np.array([10.0, 9.0, 8.0, 7.0])
     orig = {n: m.params[f"layers.0.attn.{n}"].data.copy() for n in ("wq", "wk", "wv", "wo")}
     target = cfg.with_(num_heads=3, num_query_groups=3)
-    pruned = prune_width(m, target, rep, merge_heads=True)
+    pruned = apply_candidate(m, target, rep, merge_heads=True)
     for n in ("wq", "wk", "wv", "wo"):
         got = pruned.params[f"layers.0.attn.{n}"].data
         want = 2.0 * orig[n][2 * dh : 3 * dh] - orig[n][3 * dh : 4 * dh]
@@ -343,7 +355,7 @@ def test_merge_under_grouped_selection():
     rep = report_for(m)
     rep.head_scores[0] = np.array([10.0, 9.0, 1.0, 2.0])
     wq = m.params["layers.0.attn.wq"].data
-    pruned = prune_width(m, m.config.with_(num_heads=2), rep, merge_heads=True)
+    pruned = apply_candidate(m, m.config.with_(num_heads=2), rep, merge_heads=True)
     head = [wq[h * dh : (h + 1) * dh] for h in range(4)]
     want = np.concatenate([2.0 * head[0] - head[2], 2.0 * head[3] - head[1]])
     assert np.array_equal(pruned.params["layers.0.attn.wq"].data, want)
@@ -368,7 +380,7 @@ def test_group_reduction_prunes_kv():
     # make group 1 (heads 2,3) clearly more important
     rep.head_scores[0] = np.array([1.0, 2.0, 10.0, 9.0])
     target = m.config.with_(num_heads=2, num_query_groups=1)
-    pruned = prune_width(m, target, rep)
+    pruned = apply_candidate(m, target, rep)
     dh = m.config.d_head
     assert np.array_equal(
         pruned.params["layers.0.attn.wk"].data,
@@ -449,12 +461,7 @@ def test_misspelled_depth_metric_is_rejected():
         with pytest.raises(ConfigError):
             least_important_layers(rep, 1, metric)
         with pytest.raises(ConfigError):
-            rep.layers_ranked(metric)
-        with pytest.raises(ConfigError):
             apply_candidate(m, small_config(num_layers=3), rep, depth_metric=metric)
-    calib = np.random.default_rng(0).integers(0, 19, size=(2, 8))
-    with pytest.raises(ConfigError):
-        iterative_importance(m, calib, {"layers": 3}, T=1, depth_metric="perplexity")
 
 
 def test_apply_candidate_axis_combinations():
@@ -474,8 +481,8 @@ def test_apply_candidate_explicit_layers():
     m = build_model(small_config(num_layers=4), seed=24)
     candidate = small_config(num_layers=2)
     pruned = apply_candidate(m, candidate, None, layers_to_remove=[1, 2])
-    expected = prune_depth(m, [1, 2])
-    assert_bit_identical(pruned, expected)
+    assert pruned.config == candidate
+    assert_blocks_from(pruned, m, [0, 3])
     with pytest.raises(PruneError):
         apply_candidate(m, candidate, None, layers_to_remove=[1])
     with pytest.raises(PruneError):
@@ -496,8 +503,8 @@ def test_apply_candidate_uses_least_important_layers():
     rep.layer_scores_ppl = np.array([5.0, 1.0, 4.0, 0.5])
     candidate = small_config(num_layers=2)
     pruned = apply_candidate(m, candidate, rep)
-    expected = prune_depth(m, [1, 3])
-    assert_bit_identical(pruned, expected)
+    assert pruned.config == candidate
+    assert_blocks_from(pruned, m, [0, 2])
 
 
 # ---------------------------------------------------------------- permutation
@@ -519,7 +526,7 @@ def test_prune_commutes_with_channel_permutation():
 
     target = m.config.with_(d_model=10)
     # prune, then permute the *kept* channel positions consistently
-    pruned = prune_width(m, target, rep)
+    pruned = apply_candidate(m, target, rep)
     permuted = permute(m)
     rep_p = ImportanceReport(
         head_scores=rep.head_scores,
@@ -531,7 +538,7 @@ def test_prune_commutes_with_channel_permutation():
         agg=rep.agg,
         calibration_checksum=rep.calibration_checksum,
     )
-    pruned_permuted = prune_width(permuted, target, rep_p)
+    pruned_permuted = apply_candidate(permuted, target, rep_p)
     # Both keep the same channel *identities*; order differs by the induced
     # permutation, so compare as sets via sorted channel signatures.
     a = np.sort(pruned.params["embedding"].data, axis=1)

@@ -130,6 +130,40 @@ def test_manifest_assumptions_follow_the_enumeration_rules(key, value):
         CandidateSet.from_json(json.dumps(manifest))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("label", 7),
+    ("total_params", "count+1"),
+    ("total_params", "count.0"),
+    ("non_embedding_params", "count+1"),
+    ("eval_loss", "low"),
+    ("eval_loss", math.nan),
+    ("eval_loss", math.inf),
+    ("eval_loss", True),
+    ("eval_trajectory", [[-1, 1.0]]),
+    ("eval_trajectory", [[0.5, 1.0]]),
+    ("eval_trajectory", [[0, math.nan]]),
+    ("eval_trajectory", [[0]]),
+    ("eval_trajectory", [[0, 1.0, 2]]),
+])
+def test_manifest_candidates_are_checked(key, value):
+    space = SearchSpace((1, 2), (2, 4), (8.0,), (8, 16), d_head=4, vocab_size=257,
+                        num_query_groups=2)
+    ranked = enumerate_candidates(space, 6500, 0.2)
+    for cand in ranked.candidates:
+        cand.eval_loss, cand.eval_trajectory = 2.5, [(0, 3.0), (2, 2.5)]
+    text = ranked.to_json()
+    assert CandidateSet.from_json(text).to_json() == text
+    manifest = json.loads(text)
+    cand = manifest["candidates"][0]
+    if value == "count+1":
+        value = cand[key] + 1
+    elif value == "count.0":
+        value = float(cand[key])
+    cand[key] = value
+    with pytest.raises(DataError):
+        CandidateSet.from_json(json.dumps(manifest))
+
+
 def test_rank_candidates_ignores_input_order(corpus):
     cfg = ModelConfig(3, 32, 4, 2, 8, 128, 257, max_seq_len=32)
     teacher = build_model(cfg, seed=0)
