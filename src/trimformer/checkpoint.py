@@ -10,9 +10,11 @@ Layout, all little-endian:
 
 Each directory entry is ``{"name", "dtype", "shape", "offset"}`` with the
 offset relative to the payload start. Offsets must be non-overlapping and
-in-bounds; save -> load -> save round trips are byte-identical. Writes go
-through a temp file and an atomic rename (:func:`write_atomic`, which every
-artifact writer shares).
+in-bounds; save -> load -> save round trips are byte-identical. Reads go one
+tensor at a time: each is read straight into its own new array and checked
+once for finiteness, so no copy of the whole file or payload is made. Writes
+hand each tensor's own memory to the file, and go through a temp file and an
+atomic rename (:func:`write_atomic`, which every artifact writer shares).
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ FORMAT_VERSION = 1
 _DTYPE = "<f4"
 
 
-def write_atomic(path: str, *chunks: bytes) -> None:
-    """Write ``chunks`` to ``path`` through a temp file next to it and an
+def write_atomic(path: str, *chunks) -> None:
+    """Write ``chunks``, each bytes-like (``bytes`` or a C-contiguous
+    ``memoryview``), to ``path`` through a temp file next to it and an
     atomic rename. Callers serialize before calling, so a failure at any
     point leaves the previous file as it was and removes the temp file."""
     tmp = path + ".tmp"
@@ -49,7 +52,7 @@ def write_atomic(path: str, *chunks: bytes) -> None:
 
 def save_checkpoint(model: Model, path: str) -> None:
     directory = []
-    blobs = []
+    buffers = []
     offset = 0
     for name, tensor in model.params.items():
         if tensor.data.dtype != np.float32:
@@ -57,7 +60,7 @@ def save_checkpoint(model: Model, path: str) -> None:
                 f"tensor {name} is {tensor.data.dtype}; checkpoints store float32 "
                 f"only, so convert the model first", field="tensors"
             )
-        blob = np.ascontiguousarray(tensor.data, dtype=_DTYPE).tobytes()
+        arr = np.ascontiguousarray(tensor.data, dtype=_DTYPE)
         directory.append(
             {
                 "name": name,
@@ -66,96 +69,97 @@ def save_checkpoint(model: Model, path: str) -> None:
                 "offset": offset,
             }
         )
-        blobs.append(blob)
-        offset += len(blob)
+        buffers.append(memoryview(arr))
+        offset += arr.nbytes
     header = json.dumps(
         {"config": model.config.to_dict(), "tensors": directory}
     ).encode("utf-8")
     write_atomic(
         path, MAGIC, struct.pack("<I", FORMAT_VERSION), struct.pack("<Q", len(header)),
-        header, *blobs,
+        header, *buffers,
     )
 
 
 def load_checkpoint(path: str) -> Model:
     with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 16:
-        raise CheckpointError("file too short for a checkpoint header", field="header")
-    if raw[:4] != MAGIC:
-        raise CheckpointError(
-            f"bad magic bytes {raw[:4]!r}, expected {MAGIC!r}", field="magic"
-        )
-    (version,) = struct.unpack("<I", raw[4:8])
-    if version != FORMAT_VERSION:
-        raise CheckpointError(
-            f"unsupported format version {version}, expected {FORMAT_VERSION}",
-            field="version",
-        )
-    (header_len,) = struct.unpack("<Q", raw[8:16])
-    if 16 + header_len > len(raw):
-        raise CheckpointError("header length exceeds file size", field="header_length")
-    try:
-        header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
-        config = ModelConfig.from_dict(header["config"])
-        directory = header["tensors"]
-    except (ValueError, KeyError, TypeError, ConfigError) as e:
-        raise CheckpointError(f"unparseable header: {e}", field="header") from e
-    payload = raw[16 + header_len :]
-    if not isinstance(directory, list) or not all(
-        isinstance(e, dict) and all(k in e for k in ("name", "dtype", "shape", "offset"))
-        and isinstance(e["shape"], list) and all(isinstance(n, int) for n in e["shape"])
-        and isinstance(e["offset"], int)
-        for e in directory
-    ):
-        raise CheckpointError(
-            "tensor directory must be a list of {name, dtype, shape, offset} "
-            "entries with integer shapes and offsets",
-            field="tensors",
-        )
-
-    expected = dict(_layer_param_shapes(config))
-    if [e["name"] for e in directory] != list(expected):
-        raise CheckpointError(
-            "tensor directory does not match the config's parameter set",
-            field="tensors",
-        )
-    params = {}
-    prev_end = 0
-    for entry in directory:
-        shape = tuple(entry["shape"])
-        if shape != expected[entry["name"]]:
+        size = os.fstat(f.fileno()).st_size
+        prefix = f.read(16)
+        if len(prefix) < 16:
+            raise CheckpointError("file too short for a checkpoint header", field="header")
+        if prefix[:4] != MAGIC:
             raise CheckpointError(
-                f"tensor {entry['name']} has shape {shape}, "
-                f"expected {expected[entry['name']]}",
+                f"bad magic bytes {prefix[:4]!r}, expected {MAGIC!r}", field="magic"
+            )
+        (version,) = struct.unpack("<I", prefix[4:8])
+        if version != FORMAT_VERSION:
+            raise CheckpointError(
+                f"unsupported format version {version}, expected {FORMAT_VERSION}",
+                field="version",
+            )
+        (header_len,) = struct.unpack("<Q", prefix[8:16])
+        if 16 + header_len > size:
+            raise CheckpointError("header length exceeds file size", field="header_length")
+        try:
+            header = json.loads(f.read(header_len).decode("utf-8"))
+            config = ModelConfig.from_dict(header["config"])
+            directory = header["tensors"]
+        except (ValueError, KeyError, TypeError, ConfigError) as e:
+            raise CheckpointError(f"unparseable header: {e}", field="header") from e
+        payload_len = size - 16 - header_len
+        if not isinstance(directory, list) or not all(
+            isinstance(e, dict) and all(k in e for k in ("name", "dtype", "shape", "offset"))
+            and isinstance(e["shape"], list) and all(isinstance(n, int) for n in e["shape"])
+            and isinstance(e["offset"], int)
+            for e in directory
+        ):
+            raise CheckpointError(
+                "tensor directory must be a list of {name, dtype, shape, offset} "
+                "entries with integer shapes and offsets",
                 field="tensors",
             )
-        if entry["dtype"] != "f4":
+
+        expected = dict(_layer_param_shapes(config))
+        if [e["name"] for e in directory] != list(expected):
             raise CheckpointError(
-                f"tensor {entry['name']} has dtype {entry['dtype']}", field="tensors"
+                "tensor directory does not match the config's parameter set",
+                field="tensors",
             )
-        nbytes = int(np.prod(shape)) * 4
-        if entry["offset"] != prev_end:
-            raise CheckpointError(
-                f"tensor {entry['name']} offset {entry['offset']} overlaps or "
-                f"leaves a gap (expected {prev_end})",
-                field="offsets",
-            )
-        end = entry["offset"] + nbytes
-        if end > len(payload):
-            raise CheckpointError(
-                f"tensor {entry['name']} extends past end of payload",
-                field="payload",
-            )
-        arr = np.frombuffer(
-            payload[entry["offset"] : end], dtype=_DTYPE
-        ).reshape(shape)
-        if not np.all(np.isfinite(arr)):
-            raise CheckpointError(
-                f"tensor {entry['name']} contains non-finite values", field="payload"
-            )
-        params[entry["name"]] = Tensor(arr.copy(), requires_grad=True)
-        prev_end = end
-    if prev_end != len(payload):
-        raise CheckpointError("payload has trailing bytes", field="payload")
+        params = {}
+        prev_end = 0
+        for entry in directory:
+            shape = tuple(entry["shape"])
+            if shape != expected[entry["name"]]:
+                raise CheckpointError(
+                    f"tensor {entry['name']} has shape {shape}, "
+                    f"expected {expected[entry['name']]}",
+                    field="tensors",
+                )
+            if entry["dtype"] != "f4":
+                raise CheckpointError(
+                    f"tensor {entry['name']} has dtype {entry['dtype']}", field="tensors"
+                )
+            nbytes = int(np.prod(shape)) * 4
+            if entry["offset"] != prev_end:
+                raise CheckpointError(
+                    f"tensor {entry['name']} offset {entry['offset']} overlaps or "
+                    f"leaves a gap (expected {prev_end})",
+                    field="offsets",
+                )
+            end = entry["offset"] + nbytes
+            # The length check comes first, so no array is made for a short file.
+            if end > payload_len or f.readinto(arr := np.empty(shape, _DTYPE)) != nbytes:
+                raise CheckpointError(
+                    f"tensor {entry['name']} extends past end of payload",
+                    field="payload",
+                )
+            if not np.isfinite(arr).all():
+                raise CheckpointError(
+                    f"tensor {entry['name']} contains non-finite values", field="payload"
+                )
+            # Checked above, so wrap without Tensor()'s second finiteness pass.
+            params[entry["name"]] = tensor = Tensor._wrap(arr)
+            tensor.requires_grad = True
+            prev_end = end
+        if prev_end != payload_len:
+            raise CheckpointError("payload has trailing bytes", field="payload")
     return Model(config, params)

@@ -7,8 +7,11 @@ every depth criterion that compares block inputs: block influence (BI, one
 minus the expected input/output cosine similarity of a block) and the BI of
 any contiguous run of blocks. :func:`layer_importance_ppl` is its depth
 sweep: the perplexity of the model with one block removed, each removal
-resumed from a block input kept by one plain forward. No API here ever
-records onto a gradient tape — callers inside a tape context get an error.
+resumed from a kept block input. A report whose calibration set fits in one
+chunk resumes from the calibration pass's own block inputs, so it runs one
+forward plus ``L`` resumed ones; a larger set, or the sweep called on its
+own, adds one plain whole-set forward. No API here ever records onto a
+gradient tape — callers inside a tape context get an error.
 
 Per-head and per-neuron scores are ranked within their own layer; embedding
 channel scores are aggregated per LayerNorm site and then summed across all
@@ -98,8 +101,11 @@ _WIDTH_SITES = frozenset(("attn", "mlp_pre", "ln1", "ln2"))
 _CHUNK = 32
 
 
-def _calibration_pass(model: Model, calib: np.ndarray, spec: AggregationSpec, pairs) -> dict:
-    """One chunked forward pass over the calibration set.
+def _calibration_pass(
+    model: Model, calib: np.ndarray, spec: AggregationSpec, pairs, keep_inputs: bool = False
+) -> tuple[dict, dict | None]:
+    """One chunked forward pass over the calibration set; returns
+    ``(scores, inputs)``.
 
     Each width site is reduced as it is produced to per-sample ``[B, C]``
     sequence aggregates under ``spec.seq_fn`` (heads first take the
@@ -107,17 +113,23 @@ def _calibration_pass(model: Model, calib: np.ndarray, spec: AggregationSpec, pa
     collapses the samples, giving ``{(site, layer): [C]}``. Block inputs are
     held raw only within a chunk, for the per-token cosines behind the block
     influence ``{("bi", a, b): 1 - E[cos(X_a, X_b)]}`` of each pair in
-    ``pairs``.
+    ``pairs``. With ``keep_inputs``, a set that fits in one chunk also
+    returns its block inputs ``{("x", i): X_i}`` for ``i < L``, the ones
+    :func:`layer_importance_ppl` resumes from; otherwise ``inputs`` is None.
     """
     calib = np.asarray(calib)
     if calib.ndim != 2 or calib.shape[0] == 0:
         raise DataError("calibration set must be a non-empty [n, seq] token array")
     pairs = set(pairs)
-    blocks = {i for pair in pairs for i in pair}
+    # A multi-chunk pass is not the whole-set forward bit for bit, so only
+    # one chunk's block inputs stand in for the sweep's own forward.
+    one_chunk = keep_inputs and len(calib) <= _CHUNK
+    kept = set(range(model.config.num_layers)) if one_chunk else set()
+    blocks = kept | {i for pair in pairs for i in pair}
 
     def tap(site, layer, value):
         if site == "x":
-            return value.data if layer in blocks else None
+            return value if layer in blocks else None
         if site not in _WIDTH_SITES:
             return None
         # astype keeps the memory order (head-major for "attn"), which fixes
@@ -131,7 +143,7 @@ def _calibration_pass(model: Model, calib: np.ndarray, spec: AggregationSpec, pa
     for i in range(0, calib.shape[0], _CHUNK):
         _, acts = forward(model, calib[i : i + _CHUNK], tap=tap)
         for a, b in pairs:
-            acts[("bi", a, b)] = _cosine_rows(acts[("x", a)], acts[("x", b)])
+            acts[("bi", a, b)] = _cosine_rows(acts[("x", a)].data, acts[("x", b)].data)
         for key, value in acts.items():
             if key[0] != "x":
                 parts.setdefault(key, []).append(value)
@@ -142,7 +154,7 @@ def _calibration_pass(model: Model, calib: np.ndarray, spec: AggregationSpec, pa
             scores[key] = float(1.0 - values.mean())
         else:
             scores[key] = _apply_agg(spec.batch_fn, values, axis=0)
-    return scores
+    return scores, ({("x", i): acts[("x", i)] for i in kept} if kept else None)
 
 
 def _per_layer(scores, site: str, num_layers: int, width: int) -> np.ndarray:
@@ -162,18 +174,24 @@ def _emb_total(scores, num_layers: int, width: int) -> np.ndarray:
     return total
 
 
-def layer_importance_ppl(model: Model, calib: np.ndarray) -> np.ndarray:
+def layer_importance_ppl(
+    model: Model, calib: np.ndarray, inputs: dict | None = None
+) -> np.ndarray:
     """Perplexity of the model with each single block removed; higher means
     the block mattered more.
 
-    One plain forward over the whole calibration set keeps every block input
-    ``X_i``; the model without block ``i`` is that pass resumed at block
-    ``i + 1`` on ``X_i``, so the sweep runs ``L + L(L-1)/2`` blocks."""
+    The model without block ``i`` is a whole-set forward resumed at block
+    ``i + 1`` on that forward's block input ``X_i``, so the ``L`` removals
+    run ``L(L-1)/2`` blocks. ``inputs`` holds ``{("x", i): X_i}`` from a
+    forward over exactly ``calib`` already run (the report's one-chunk
+    calibration pass); without it one plain forward keeps them first, and
+    the sweep runs ``L + L(L-1)/2`` blocks."""
     _require_no_tape("layer_importance_ppl")
     if model.config.num_layers < 2:
         raise PruneError("layer importance needs at least two layers")
     calib = np.asarray(calib)
-    _, inputs = forward(model, calib, tap=lambda site, layer, x: x if site == "x" else None)
+    if inputs is None:
+        _, inputs = forward(model, calib, tap=lambda site, layer, x: x if site == "x" else None)
 
     def removed_ppl(i: int) -> float:
         logits, _ = forward(model, calib, start=(i + 1, inputs[("x", i)]))
@@ -279,9 +297,14 @@ def compute_importance_report(
     blocks: list[tuple[int, int]] | None = None,
 ) -> ImportanceReport:
     """Score every axis from one captured pass over the calibration set,
-    plus the per-layer perplexity sweep (one plain forward and ``L`` resumed
-    ones, ``L + L(L-1)/2`` blocks in all); disable it when only width axes
-    are needed."""
+    plus the per-layer perplexity sweep; disable it when only width axes are
+    needed.
+
+    With the sweep, a set of at most ``_CHUNK`` (32) samples takes one forward
+    and ``L`` resumed ones, ``L + L(L-1)/2`` blocks in all: the sweep resumes
+    from the calibration pass's block inputs. A larger set adds the sweep's
+    own whole-set forward, ``2L + L(L-1)/2`` blocks, since its chunked pass
+    is not that forward bit for bit."""
     _require_no_tape("compute_importance_report")
     spec = spec or AggregationSpec()
     cfg = model.config
@@ -291,12 +314,13 @@ def compute_importance_report(
             raise PruneError(f"block ({start}, {length}) out of range for {cfg.num_layers} layers")
     adjacent = [(i, i + 1) for i in range(cfg.num_layers)] if include_bi else []
     block_pairs = [(s, s + ln) for s, ln in blocks]
-    scores = _calibration_pass(model, calib, spec, adjacent + block_pairs)
+    scores, inputs = _calibration_pass(model, calib, spec, adjacent + block_pairs,
+                                       keep_inputs=include_ppl)
     return ImportanceReport(
         head_scores=_per_layer(scores, "attn", cfg.num_layers, cfg.num_heads),
         neuron_scores=_per_layer(scores, "mlp_pre", cfg.num_layers, cfg.d_hidden),
         emb_scores=_emb_total(scores, cfg.num_layers, cfg.d_model),
-        layer_scores_ppl=layer_importance_ppl(model, calib) if include_ppl else None,
+        layer_scores_ppl=layer_importance_ppl(model, calib, inputs) if include_ppl else None,
         layer_scores_bi=(
             np.array([scores[("bi", *p)] for p in adjacent]) if include_bi else None
         ),

@@ -156,13 +156,19 @@ class CandidateSet:
             d = json.loads(text)
             a = d["assumptions"]
             _check_target(a["budget"], a["tolerance"], a["count_mode"])
-            return cls(
+            result = cls(
                 space=SearchSpace.from_dict(d["space"]),
                 budget=a["budget"],
                 tolerance=a["tolerance"],
                 count_mode=a["count_mode"],
                 candidates=[Candidate.from_dict(c) for c in d["candidates"]],
             )
+            # Compared as JSON text, so 257.0 or 0 does not pass for 257 or false.
+            want = result.assumptions()
+            if json.dumps(a, sort_keys=True) != json.dumps(want, sort_keys=True):
+                raise ValueError(f"assumptions {a!r} contradict the space and "
+                                 f"enumeration rules, which give {want!r}")
+            return result
         except (ValueError, KeyError, TypeError, OverflowError, SearchError) as e:
             raise DataError(f"malformed candidate manifest: {e!r}") from e
 

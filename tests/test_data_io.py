@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import struct
 
@@ -278,6 +279,68 @@ def test_checkpoint_overlapping_offsets(tmp_path):
     with pytest.raises(CheckpointError) as err:
         load_checkpoint(str(out))
     assert err.value.field == "offsets"
+
+
+def _payload_entry(path, index):
+    """Directory entry ``index`` of a saved checkpoint and its file offset."""
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack("<Q", raw[8:16])
+    entry = json.loads(raw[16 : 16 + header_len])["tensors"][index]
+    return entry, 16 + header_len + entry["offset"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_checkpoint_non_finite_payload_names_the_tensor(tmp_path, value):
+    m = build_model(small_config(), seed=10)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(m, str(path))
+    entry, at = _payload_entry(path, 3)
+
+    def poison(raw):
+        raw[at + 4 : at + 8] = struct.pack("<f", value)
+
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(corrupt(path, tmp_path, poison))
+    assert err.value.field == "payload"
+    assert entry["name"] in str(err.value)
+
+
+def test_checkpoint_trailing_payload_bytes(tmp_path):
+    m = build_model(small_config(), seed=11)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(m, str(path))
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(corrupt(path, tmp_path, lambda raw: raw.extend(b"\0" * 4)))
+    assert err.value.field == "payload"
+
+
+def test_checkpoint_short_read_names_payload(tmp_path, monkeypatch):
+    # A file that shrinks after its size was taken: the read comes up short.
+    m = build_model(small_config(), seed=13)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(m, str(path))
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-64])
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fstat", lambda fd: os.stat_result((0,) * 6 + (size,) + (0,) * 3))
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(str(path))
+    assert err.value.field == "payload"
+
+
+@pytest.mark.parametrize("layout", ["fortran", "transposed view"])
+def test_checkpoint_saves_non_contiguous_tensors_in_c_order(tmp_path, layout):
+    m = build_model(small_config(), seed=12)
+    c_path, other_path = tmp_path / "c.ckpt", tmp_path / "other.ckpt"
+    save_checkpoint(m, str(c_path))
+    w = m.params["layers.0.mlp.w1"]
+    w.data = np.asfortranarray(w.data) if layout == "fortran" else w.data.T.copy().T
+    assert not w.data.flags.c_contiguous
+    save_checkpoint(m, str(other_path))
+    assert other_path.read_bytes() == c_path.read_bytes()
+    # save -> load -> save of the loaded copy is byte-identical too
+    save_checkpoint(load_checkpoint(str(other_path)), str(other_path))
+    assert other_path.read_bytes() == c_path.read_bytes()
 
 
 def test_checkpoint_no_temp_file_left(tmp_path):

@@ -259,10 +259,10 @@ def test_head_scores_permutation_equivariant_within_group():
 # ---------------------------------------------------------------- depth
 
 
-def _assert_ppl_scores_match_remove_and_eval(dtype, n):
+def _assert_ppl_scores_match_remove_and_eval(dtype, n, sweep=layer_importance_ppl):
     m = small_model(num_layers=3, dtype=dtype)
     calib = toks(n, 8)
-    scores = layer_importance_ppl(m, calib)
+    scores = sweep(m, calib)
     for i in range(3):
         removed = apply_candidate(m, m.config.with_(num_layers=2), None, layers_to_remove=[i])
         assert scores[i] == math.exp(lm_loss(removed, calib).item())
@@ -276,6 +276,31 @@ def test_ppl_importance_matches_remove_and_eval_loop():
 @pytest.mark.parametrize("n", [4, 33])  # 33 > _CHUNK: the sweep scores one batch
 def test_ppl_importance_matches_remove_and_eval_loop_per_dtype_and_size(dtype, n):
     _assert_ppl_scores_match_remove_and_eval(dtype, n)
+
+
+@pytest.mark.parametrize("include_bi", [True, False])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [4, 33])  # 4 resumes from the calibration pass; 33 is two chunks
+def test_report_ppl_scores_match_remove_and_eval_loop(dtype, n, include_bi):
+    def sweep(m, calib):
+        return compute_importance_report(m, calib, include_bi=include_bi).layer_scores_ppl
+
+    _assert_ppl_scores_match_remove_and_eval(dtype, n, sweep)
+
+
+@pytest.mark.parametrize("include_bi", [True, False])
+@pytest.mark.parametrize("n, forwards", [(1, 1), (32, 1), (33, 3)])
+def test_report_ppl_sweep_block_count(n, forwards, include_bi, monkeypatch):
+    # A set of at most 32 samples (one chunk) runs one forward and resumes
+    # the sweep from its block inputs: L + L(L-1)/2 blocks. A 33-sample set
+    # runs two chunks and the sweep's own whole-set forward besides.
+    num_layers = 4
+    calls = []
+    real = ad.squared_relu
+    monkeypatch.setattr(ad, "squared_relu", lambda a: calls.append(1) or real(a))
+    compute_importance_report(small_model(num_layers=num_layers), toks(n, 6),
+                              include_bi=include_bi)
+    assert len(calls) == forwards * num_layers + num_layers * (num_layers - 1) // 2
 
 
 @pytest.mark.parametrize("num_layers", [4, 5])

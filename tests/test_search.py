@@ -118,6 +118,9 @@ def test_enumeration_rejects_bad_arguments(budget, tolerance, count_mode):
     ("budget", math.inf), ("budget", math.nan), ("budget", "6500"), ("budget", True),
     ("budget", 0), ("tolerance", "0.2"), ("tolerance", True), ("tolerance", 1.0),
     ("count_mode", "params"),
+    # Copies of the space and of MLP_SNAP must agree with them, type included.
+    ("vocab_size", 258), ("vocab_size", 257.0), ("d_head", 8), ("num_query_groups", 1),
+    ("tie_embeddings", True), ("tie_embeddings", 0), ("mlp_snap_multiple", 64),
 ])
 def test_manifest_assumptions_follow_the_enumeration_rules(key, value):
     space = SearchSpace((1, 2), (2, 4), (8.0,), (8, 16), d_head=4, vocab_size=257,
