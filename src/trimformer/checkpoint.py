@@ -8,18 +8,21 @@ Layout, all little-endian:
     header        UTF-8 JSON: {"config": {...}, "tensors": [directory]}
     payload       raw float32 tensor data, row-major, in directory order
 
-Each directory entry is ``{"name", "dtype", "shape", "offset"}`` with the
-offset relative to the payload start. Offsets must be non-overlapping and
-in-bounds; save -> load -> save round trips are byte-identical. Reads go one
-tensor at a time: each is read straight into its own new array and checked
-once for finiteness, so no copy of the whole file or payload is made. Writes
-hand each tensor's own memory to the file, and go through a temp file and an
-atomic rename (:func:`write_atomic`, which every artifact writer shares).
+The directory holds nothing the config does not fix, so :func:`_directory`
+derives it for both sides: one ``{"name", "dtype", "shape", "offset"}`` entry
+per parameter, packed back to back from the payload start. Save refuses
+tensors that differ from it; load checks the stored copy against it in one
+comparison, and save -> load -> save round trips are byte-identical. Reads go
+one tensor at a time, straight into a new array checked once for finiteness,
+so no copy of the whole file is made. Writes hand each tensor's own memory to
+the file through a temp file and an atomic rename (:func:`write_atomic`, which
+every artifact writer shares).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 
@@ -50,33 +53,42 @@ def write_atomic(path: str, *chunks) -> None:
         raise
 
 
+def _directory(config: ModelConfig) -> list[dict]:
+    """The tensor directory ``config`` implies: every parameter in
+    ``_layer_param_shapes`` order, float32, packed back to back."""
+    directory, offset = [], 0
+    for name, shape in _layer_param_shapes(config):
+        directory.append({"name": name, "dtype": "f4", "shape": list(shape), "offset": offset})
+        offset += 4 * math.prod(shape)
+    return directory
+
+
+def _sans_offsets(directory) -> str:
+    """``directory`` as JSON text with its offsets blanked. Text, unlike ``==``,
+    tells 16 from 16.0 and 0 from false."""
+    if isinstance(directory, list):
+        directory = [{**e, "offset": None} if isinstance(e, dict) else e for e in directory]
+    return json.dumps(directory, sort_keys=True)
+
+
 def save_checkpoint(model: Model, path: str) -> None:
-    directory = []
-    buffers = []
-    offset = 0
-    for name, tensor in model.params.items():
-        if tensor.data.dtype != np.float32:
-            raise CheckpointError(
-                f"tensor {name} is {tensor.data.dtype}; checkpoints store float32 "
-                f"only, so convert the model first", field="tensors"
-            )
-        arr = np.ascontiguousarray(tensor.data, dtype=_DTYPE)
-        directory.append(
-            {
-                "name": name,
-                "dtype": "f4",
-                "shape": list(tensor.data.shape),
-                "offset": offset,
-            }
+    directory, params = _directory(model.config), model.params
+    if params.keys() != {e["name"] for e in directory}:
+        raise CheckpointError(
+            "model tensors differ from its config's parameter set", field="tensors"
         )
-        buffers.append(memoryview(arr))
-        offset += arr.nbytes
-    header = json.dumps(
-        {"config": model.config.to_dict(), "tensors": directory}
-    ).encode("utf-8")
+    for e in directory:
+        data = params[e["name"]].data
+        if data.dtype != np.float32 or list(data.shape) != e["shape"]:
+            raise CheckpointError(
+                f"tensor {e['name']} is {data.dtype} {data.shape}; its config implies "
+                f"float32 {tuple(e['shape'])}", field="tensors"
+            )
+    header = json.dumps({"config": model.config.to_dict(), "tensors": directory}).encode("utf-8")
     write_atomic(
         path, MAGIC, struct.pack("<I", FORMAT_VERSION), struct.pack("<Q", len(header)),
-        header, *buffers,
+        header,
+        *(memoryview(np.ascontiguousarray(params[e["name"]].data, _DTYPE)) for e in directory),
     )
 
 
@@ -105,61 +117,30 @@ def load_checkpoint(path: str) -> Model:
             directory = header["tensors"]
         except (ValueError, KeyError, TypeError, ConfigError) as e:
             raise CheckpointError(f"unparseable header: {e}", field="header") from e
-        payload_len = size - 16 - header_len
-        if not isinstance(directory, list) or not all(
-            isinstance(e, dict) and all(k in e for k in ("name", "dtype", "shape", "offset"))
-            and isinstance(e["shape"], list) and all(isinstance(n, int) for n in e["shape"])
-            and isinstance(e["offset"], int)
-            for e in directory
+        expected = _directory(config)
+        # ``==`` passes 16.0 for 16 and false for 0, so the types are checked after it.
+        if directory != expected or not all(
+            type(n) is int for e in directory for n in (e["offset"], *e["shape"])
         ):
+            offsets_only = _sans_offsets(directory) == _sans_offsets(expected)
             raise CheckpointError(
-                "tensor directory must be a list of {name, dtype, shape, offset} "
-                "entries with integer shapes and offsets",
-                field="tensors",
+                "tensor directory differs from the one its config implies"
+                + (" in its offsets" if offsets_only else ""),
+                field="offsets" if offsets_only else "tensors",
             )
-
-        expected = dict(_layer_param_shapes(config))
-        if [e["name"] for e in directory] != list(expected):
-            raise CheckpointError(
-                "tensor directory does not match the config's parameter set",
-                field="tensors",
-            )
+        want = sum(4 * math.prod(e["shape"]) for e in expected)
+        if (got := size - 16 - header_len) != want:
+            raise CheckpointError(f"payload holds {got} bytes, not {want}", field="payload")
         params = {}
-        prev_end = 0
-        for entry in directory:
-            shape = tuple(entry["shape"])
-            if shape != expected[entry["name"]]:
-                raise CheckpointError(
-                    f"tensor {entry['name']} has shape {shape}, "
-                    f"expected {expected[entry['name']]}",
-                    field="tensors",
-                )
-            if entry["dtype"] != "f4":
-                raise CheckpointError(
-                    f"tensor {entry['name']} has dtype {entry['dtype']}", field="tensors"
-                )
-            nbytes = int(np.prod(shape)) * 4
-            if entry["offset"] != prev_end:
-                raise CheckpointError(
-                    f"tensor {entry['name']} offset {entry['offset']} overlaps or "
-                    f"leaves a gap (expected {prev_end})",
-                    field="offsets",
-                )
-            end = entry["offset"] + nbytes
-            # The length check comes first, so no array is made for a short file.
-            if end > payload_len or f.readinto(arr := np.empty(shape, _DTYPE)) != nbytes:
-                raise CheckpointError(
-                    f"tensor {entry['name']} extends past end of payload",
-                    field="payload",
-                )
+        for e in expected:
+            # Read straight into the array; a file that shrank since fstat reads short.
+            if f.readinto(arr := np.empty(e["shape"], _DTYPE)) != arr.nbytes:
+                raise CheckpointError(f"tensor {e['name']} is cut short", field="payload")
             if not np.isfinite(arr).all():
                 raise CheckpointError(
-                    f"tensor {entry['name']} contains non-finite values", field="payload"
+                    f"tensor {e['name']} contains non-finite values", field="payload"
                 )
             # Checked above, so wrap without Tensor()'s second finiteness pass.
-            params[entry["name"]] = tensor = Tensor._wrap(arr)
+            params[e["name"]] = tensor = Tensor._wrap(arr)
             tensor.requires_grad = True
-            prev_end = end
-        if prev_end != payload_len:
-            raise CheckpointError("payload has trailing bytes", field="payload")
     return Model(config, params)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .checkpoint import write_atomic
 from .errors import DataError
+from .model import _is_int
 
 DOC_SEPARATOR = 256
 BYTE_VOCAB = 257  # raw bytes + one separator token
@@ -35,13 +36,14 @@ class TokenDataset:
         ids = np.asarray(ids, dtype=np.uint32)
         if ids.size == 0:
             raise DataError("empty token dataset")
+        if not _is_int(vocab_size, 1):
+            raise DataError(f"vocab size must be an integer >= 1, got {vocab_size!r}")
         if ids.max() >= vocab_size:
             raise DataError(f"token id {ids.max()} >= vocab size {vocab_size}")
         for d in documents:
-            if not 0 <= d.start <= d.end <= ids.size:
-                raise DataError(
-                    f"document span [{d.start}, {d.end}) outside 0..{ids.size} or inverted"
-                )
+            if not (_is_int(d.start, 0) and _is_int(d.end, d.start) and d.end <= ids.size):
+                raise DataError(f"document span [{d.start!r}, {d.end!r}) is not integers "
+                                f"in 0..{ids.size} or is inverted")
         self.ids = ids
         self.vocab_size = vocab_size
         self.documents = documents

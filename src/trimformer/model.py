@@ -78,6 +78,8 @@ class ModelConfig:
                 raise ConfigError(f"{f.name} must be an integer >= {low}, got {value!r}")
         if not isinstance(self.tie_embeddings, bool):
             raise ConfigError(f"tie_embeddings must be a bool, got {self.tie_embeddings!r}")
+        if self.d_head % 2 != 0:
+            raise ConfigError(f"d_head must be even for rotary positions, got {self.d_head}")
         if self.num_heads % self.num_query_groups != 0:
             raise ConfigError(
                 f"num_heads={self.num_heads} not divisible by "
@@ -206,8 +208,6 @@ def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> Model:
     Projections draw from N(0, 0.02^2); norm scales start at one, shifts at
     zero. ``dtype=np.float64`` is the headroom mode for gradient checks.
     """
-    if config.d_head % 2 != 0:
-        raise ConfigError("d_head must be even for rotary positions")
     rng = np.random.default_rng(seed)
     params: dict[str, Tensor] = {}
     for name, shape in _layer_param_shapes(config):

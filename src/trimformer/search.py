@@ -41,13 +41,18 @@ class SearchSpace:
 
     def __post_init__(self):
         lo, hi = self.layer_range
-        if lo > hi or lo < 1:
+        if not (_is_int(lo, 1) and _is_int(hi, lo)):
             raise SearchError(f"bad layer range {self.layer_range}")
         for name in ("head_choices", "mlp_expansion_factors", "embedding_choices"):
             if not getattr(self, name):
                 raise SearchError(f"{name} must be non-empty")
-        if any(f <= 0 for f in self.mlp_expansion_factors):
-            raise SearchError("expansion factors must be positive")
+        sizes = (*self.head_choices, *self.embedding_choices, self.num_query_groups)
+        if bad := [n for n in sizes if not _is_int(n, 1)]:
+            raise SearchError(f"head and embedding choices and num_query_groups must be "
+                              f"integers >= 1, got {bad[0]!r}")
+        if not all(_is_finite(f) and f > 0 for f in self.mlp_expansion_factors):
+            raise SearchError(f"expansion factors must be positive and finite, "
+                              f"got {list(self.mlp_expansion_factors)}")
 
     def to_dict(self) -> dict:
         return {

@@ -21,6 +21,20 @@ MODEL = dict(
     d_hidden=32, vocab_size=257, max_seq_len=16,
 )
 
+# Each replaces keys of the fixture's space.json with values that are not
+# integers >= 1 (layer bounds, head and embedding choices, query groups) or
+# finite positive numbers (expansion factors).
+SPACE_EDITS = {
+    "float_layer_bound": {"layer_range": [1.5, 2]},
+    "zero_head_choice": {"head_choices": [0]},
+    "string_head_choice": {"head_choices": ["2"]},
+    "string_embedding_choice": {"embedding_choices": ["16"]},
+    "infinite_expansion_factor": {"mlp_expansion_factors": [math.inf]},
+    "nan_expansion_factor": {"mlp_expansion_factors": [math.nan]},
+    "zero_query_groups": {"num_query_groups": 0},
+    "string_query_groups": {"num_query_groups": "2"},
+}
+
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
@@ -54,6 +68,8 @@ def workdir(tmp_path_factory):
         },
         "target.json": MODEL,
     }
+    for name, value in SPACE_EDITS.items():
+        files[f"space_{name}.json"] = {**files["space.json"], **value}
     for name, content in files.items():
         (d / name).write_text(json.dumps(content))
     (d / "garbled.json").write_text('{"model": {"num_layers": 2,')
@@ -65,6 +81,8 @@ def workdir(tmp_path_factory):
         ("no_offset", lambda h: h["tensors"][0].pop("offset")),
         ("tensors_object", lambda h: h.update(tensors={"a": 1})),
         ("int_shape", lambda h: h["tensors"][0].update(shape=5)),
+        # Every tensor keeps its shape: 16 heads of width 1 in 8 groups.
+        ("odd_d_head", lambda h: h["config"].update(num_heads=16, num_query_groups=8, d_head=1)),
     ):
         header = json.loads(raw[16 : 16 + n])
         edit(header)
@@ -232,6 +250,10 @@ CASES = {
         "eval --ckpt {d}/int_shape.ckpt --data {d}/corpus.txt",
         "CheckpointError",
     ),
+    "checkpoint_config_odd_d_head": (
+        "eval --ckpt {d}/odd_d_head.ckpt --data {d}/corpus.txt",
+        "CheckpointError",
+    ),
     "dataset_ids_not_whole_uint32": (
         "eval --ckpt {d}/model.ckpt --data {d}/odd.ids",
         "DataError",
@@ -293,6 +315,12 @@ CASES = {
         "SearchError",
     ),
 }
+for _name in SPACE_EDITS:
+    CASES[f"search_space_{_name}"] = (
+        f"search --space {{d}}/space_{_name}.json --budget 1000 --tolerance 0.1 "
+        "--out {d}/c.json",
+        "SearchError",
+    )
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -93,6 +93,9 @@ MANIFEST_EDITS = {
     "missing_split": lambda m, n: m["documents"][0].pop("split"),
     "missing_vocab_size": lambda m, n: m.pop("vocab_size"),
     "missing_documents": lambda m, n: m.pop("documents"),
+    "fractional_start": lambda m, n: m["documents"][0].update(start=0.5),
+    "bool_end": lambda m, n: m["documents"][0].update(end=True),
+    "fractional_vocab_size": lambda m, n: m.update(vocab_size=257.5),
 }
 
 
@@ -262,23 +265,77 @@ def test_checkpoint_truncated_payload(tmp_path):
     assert err.value.field == "payload"
 
 
+def edit_header(path, tmp_path, edit):
+    """A copy of checkpoint ``path`` whose JSON header went through ``edit``."""
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16 : 16 + header_len])
+    edit(header)
+    blob = json.dumps(header).encode()
+    out = tmp_path / "edited.ckpt"
+    out.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + header_len :])
+    return str(out)
+
+
 def test_checkpoint_overlapping_offsets(tmp_path):
     m = build_model(small_config(), seed=6)
     path = tmp_path / "m.ckpt"
     save_checkpoint(m, str(path))
-    raw = bytearray(path.read_bytes())
-    (header_len,) = struct.unpack("<Q", raw[8:16])
-    header = json.loads(raw[16 : 16 + header_len])
-    header["tensors"][1]["offset"] -= 4  # overlap the first tensor
-    new_header = json.dumps(header).encode()
-    out = tmp_path / "overlap.ckpt"
-    out.write_bytes(
-        bytes(raw[:8]) + struct.pack("<Q", len(new_header)) + new_header
-        + bytes(raw[16 + header_len :])
-    )
+
+    def overlap(header):
+        header["tensors"][1]["offset"] -= 4  # overlap the first tensor
+
     with pytest.raises(CheckpointError) as err:
-        load_checkpoint(str(out))
+        load_checkpoint(edit_header(path, tmp_path, overlap))
     assert err.value.field == "offsets"
+
+
+def _swap_first_norm(header):
+    entries = header["tensors"]
+    entries[1], entries[2] = entries[2], entries[1]  # ln1.gamma and ln1.beta, same shape
+
+
+# Header edits of a small_config() checkpoint, each with the field it must
+# fail. Entry 0 is the [19, 16] embedding at offset 0, entry 1 the [16]
+# ln1.gamma at offset 1216.
+DIRECTORY_EDITS = {
+    "extra_entry_key": (lambda h: h["tensors"][0].update(note="x"), "tensors"),
+    "false_first_offset": (lambda h: h["tensors"][0].update(offset=False), "offsets"),
+    "float_shape": (lambda h: h["tensors"][1].update(shape=[16.0]), "tensors"),
+    "float_offset": (lambda h: h["tensors"][1].update(offset=1216.0), "offsets"),
+    "missing_offset": (lambda h: h["tensors"][1].pop("offset"), "offsets"),
+    "directory_a_number": (lambda h: h.update(tensors=5), "tensors"),
+    "directory_null": (lambda h: h.update(tensors=None), "tensors"),
+    "directory_an_object": (lambda h: h.update(tensors={"embedding": 0}), "tensors"),
+    "entries_reordered": (_swap_first_norm, "tensors"),
+    "entry_missing": (lambda h: h["tensors"].pop(), "tensors"),
+    "dtype_f8": (lambda h: h["tensors"][1].update(dtype="f8"), "tensors"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(DIRECTORY_EDITS))
+def test_checkpoint_directory_must_be_the_one_its_config_implies(tmp_path, edit):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(build_model(small_config(), seed=6), str(path))
+    mutate, field = DIRECTORY_EDITS[edit]
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(edit_header(path, tmp_path, mutate))
+    assert err.value.field == field
+
+
+def test_checkpoint_config_with_odd_head_width_is_a_header_error(tmp_path):
+    # 2 heads of width 14 in 1 group and 4 heads of width 7 in 2 groups
+    # give every tensor the same shape, so only the config can refuse it.
+    path = tmp_path / "m.ckpt"
+    m = build_model(small_config(num_heads=2, num_query_groups=1, d_head=14), seed=6)
+    save_checkpoint(m, str(path))
+
+    def odd(header):
+        header["config"].update(num_heads=4, num_query_groups=2, d_head=7)
+
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(edit_header(path, tmp_path, odd))
+    assert err.value.field == "header"
 
 
 def _payload_entry(path, index):
@@ -359,6 +416,31 @@ def test_checkpoint_refuses_non_float32_tensors(tmp_path):
             save_checkpoint(m, str(tmp_path / "m.ckpt"))
         assert err.value.field == "tensors"
     assert list(tmp_path.iterdir()) == []
+
+
+SAVE_EDITS = {
+    "mis_shaped": lambda p: setattr(p["layers.0.mlp.w1"], "data", p["layers.0.mlp.w1"].data[1:]),
+    "missing": lambda p: p.pop("final_ln.beta"),
+    "extra": lambda p: p.update(spare=p["final_ln.beta"]),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(SAVE_EDITS))
+def test_checkpoint_save_refuses_tensors_its_config_does_not_imply(tmp_path, edit):
+    m = build_model(small_config(), seed=8)
+    SAVE_EDITS[edit](m.params)
+    with pytest.raises(CheckpointError) as err:
+        save_checkpoint(m, str(tmp_path / "m.ckpt"))
+    assert err.value.field == "tensors"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_checkpoint_saves_in_config_order_whatever_the_param_order(tmp_path):
+    m = build_model(small_config(), seed=8)
+    save_checkpoint(m, str(tmp_path / "a.ckpt"))
+    m.params = dict(reversed(m.params.items()))
+    save_checkpoint(m, str(tmp_path / "b.ckpt"))
+    assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
 
 @given(seed=st.integers(0, 100))

@@ -41,6 +41,14 @@ def test_config_validation():
         small_config(num_layers=-1)
 
 
+@pytest.mark.parametrize("d_head", [1, 7])
+def test_odd_head_width_is_a_config_error(d_head):
+    # Rotary positions rotate channel pairs, so the config itself refuses an
+    # odd width, before any model is built or loaded.
+    with pytest.raises(ConfigError, match="d_head must be even"):
+        small_config(d_head=d_head)
+
+
 def test_config_roundtrip():
     cfg = small_config()
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
