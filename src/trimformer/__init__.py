@@ -30,7 +30,6 @@ from .importance import (
     AggregationSpec,
     ImportanceReport,
     compute_importance_report,
-    layer_importance_ppl,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
 from .model import (

@@ -3,15 +3,13 @@
 :func:`compute_importance_report` is the one scorer. A single streamed,
 chunked forward pass over the calibration set scores every width axis
 (attention heads, MLP neurons, embedding channels) from its activations, and
-every depth criterion that compares block inputs: block influence (BI, one
-minus the expected input/output cosine similarity of a block) and the BI of
-any contiguous run of blocks. :func:`layer_importance_ppl` is its depth
-sweep: the perplexity of the model with one block removed, each removal
-resumed from a kept block input. A report whose calibration set fits in one
-chunk resumes from the calibration pass's own block inputs, so it runs one
-forward plus ``L`` resumed ones; a larger set, or the sweep called on its
-own, adds one plain whole-set forward. No API here ever records onto a
-gradient tape — callers inside a tape context get an error.
+every depth criterion: block influence (BI, one minus the expected
+input/output cosine similarity of a block), the BI of any contiguous run of
+blocks, and the perplexity of the model with each single block removed. Each
+removal resumes from the chunk's own block input, so a chunk runs one forward
+plus ``L`` resumed ones, and no block input outlives its chunk. No API here
+ever records onto a gradient tape — callers inside a tape context get an
+error.
 
 Per-head and per-neuron scores are ranked within their own layer; embedding
 channel scores are aggregated per LayerNorm site and then summed across all
@@ -102,10 +100,9 @@ _CHUNK = 32
 
 
 def _calibration_pass(
-    model: Model, calib: np.ndarray, spec: AggregationSpec, pairs, keep_inputs: bool = False
-) -> tuple[dict, dict | None]:
-    """One chunked forward pass over the calibration set; returns
-    ``(scores, inputs)``.
+    model: Model, calib: np.ndarray, spec: AggregationSpec, pairs, ppl: bool
+) -> dict:
+    """One chunked forward pass over the calibration set; returns its scores.
 
     Each width site is reduced as it is produced to per-sample ``[B, C]``
     sequence aggregates under ``spec.seq_fn`` (heads first take the
@@ -113,19 +110,20 @@ def _calibration_pass(
     collapses the samples, giving ``{(site, layer): [C]}``. Block inputs are
     held raw only within a chunk, for the per-token cosines behind the block
     influence ``{("bi", a, b): 1 - E[cos(X_a, X_b)]}`` of each pair in
-    ``pairs``. With ``keep_inputs``, a set that fits in one chunk also
-    returns its block inputs ``{("x", i): X_i}`` for ``i < L``, the ones
-    :func:`layer_importance_ppl` resumes from; otherwise ``inputs`` is None.
+    ``pairs`` and, with ``ppl``, for the removal sweep: the model without
+    block ``i`` resumes at block ``i + 1`` on the chunk's ``X_i``, so a chunk
+    runs ``L + L(L-1)/2`` blocks. The chunks' mean NLLs are weighted by
+    their share of the samples, giving ``{("ppl", i): exp(NLL_i)}``.
     """
     calib = np.asarray(calib)
     if calib.ndim != 2 or calib.shape[0] == 0:
         raise DataError("calibration set must be a non-empty [n, seq] token array")
+    num_layers = model.config.num_layers
+    if ppl and num_layers < 2:
+        raise PruneError("layer importance needs at least two layers")
     pairs = set(pairs)
-    # A multi-chunk pass is not the whole-set forward bit for bit, so only
-    # one chunk's block inputs stand in for the sweep's own forward.
-    one_chunk = keep_inputs and len(calib) <= _CHUNK
-    kept = set(range(model.config.num_layers)) if one_chunk else set()
-    blocks = kept | {i for pair in pairs for i in pair}
+    removals = range(num_layers) if ppl else ()
+    blocks = set(removals) | {i for pair in pairs for i in pair}
 
     def tap(site, layer, value):
         if site == "x":
@@ -139,22 +137,28 @@ def _calibration_pass(
             values = np.sqrt((values**2).sum(axis=-1))  # [B,S,H]
         return _apply_agg(spec.seq_fn, values, axis=1)
 
+    n = calib.shape[0]
+    nll = {i: 0.0 for i in removals}
     parts: dict = {}
-    for i in range(0, calib.shape[0], _CHUNK):
-        _, acts = forward(model, calib[i : i + _CHUNK], tap=tap)
+    for i in range(0, n, _CHUNK):
+        chunk = calib[i : i + _CHUNK]
+        _, acts = forward(model, chunk, tap=tap)
         for a, b in pairs:
             acts[("bi", a, b)] = _cosine_rows(acts[("x", a)].data, acts[("x", b)].data)
+        for layer in removals:
+            logits, _ = forward(model, chunk, start=(layer + 1, acts[("x", layer)]))
+            nll[layer] += len(chunk) / n * ad.cross_entropy(logits, chunk[:, 1:]).item()
         for key, value in acts.items():
             if key[0] != "x":
                 parts.setdefault(key, []).append(value)
-    scores = {}
+    scores = {("ppl", layer): math.exp(v) for layer, v in nll.items()}
     for key, chunks in parts.items():
         values = np.concatenate(chunks)
         if key[0] == "bi":
             scores[key] = float(1.0 - values.mean())
         else:
             scores[key] = _apply_agg(spec.batch_fn, values, axis=0)
-    return scores, ({("x", i): acts[("x", i)] for i in kept} if kept else None)
+    return scores
 
 
 def _per_layer(scores, site: str, num_layers: int, width: int) -> np.ndarray:
@@ -172,32 +176,6 @@ def _emb_total(scores, num_layers: int, width: int) -> np.ndarray:
         total += scores[("ln2", i)]
     total += scores[("ln1", num_layers)]
     return total
-
-
-def layer_importance_ppl(
-    model: Model, calib: np.ndarray, inputs: dict | None = None
-) -> np.ndarray:
-    """Perplexity of the model with each single block removed; higher means
-    the block mattered more.
-
-    The model without block ``i`` is a whole-set forward resumed at block
-    ``i + 1`` on that forward's block input ``X_i``, so the ``L`` removals
-    run ``L(L-1)/2`` blocks. ``inputs`` holds ``{("x", i): X_i}`` from a
-    forward over exactly ``calib`` already run (the report's one-chunk
-    calibration pass); without it one plain forward keeps them first, and
-    the sweep runs ``L + L(L-1)/2`` blocks."""
-    _require_no_tape("layer_importance_ppl")
-    if model.config.num_layers < 2:
-        raise PruneError("layer importance needs at least two layers")
-    calib = np.asarray(calib)
-    if inputs is None:
-        _, inputs = forward(model, calib, tap=lambda site, layer, x: x if site == "x" else None)
-
-    def removed_ppl(i: int) -> float:
-        logits, _ = forward(model, calib, start=(i + 1, inputs[("x", i)]))
-        return math.exp(ad.cross_entropy(logits, calib[:, 1:]).item())
-
-    return np.array([removed_ppl(i) for i in range(model.config.num_layers)])
 
 
 @dataclass
@@ -297,14 +275,11 @@ def compute_importance_report(
     blocks: list[tuple[int, int]] | None = None,
 ) -> ImportanceReport:
     """Score every axis from one captured pass over the calibration set,
-    plus the per-layer perplexity sweep; disable it when only width axes are
-    needed.
+    including the per-layer perplexity sweep; disable it when only width
+    axes are needed.
 
-    With the sweep, a set of at most ``_CHUNK`` (32) samples takes one forward
-    and ``L`` resumed ones, ``L + L(L-1)/2`` blocks in all: the sweep resumes
-    from the calibration pass's block inputs. A larger set adds the sweep's
-    own whole-set forward, ``2L + L(L-1)/2`` blocks, since its chunked pass
-    is not that forward bit for bit."""
+    With the sweep, each chunk of at most ``_CHUNK`` (32) samples takes one
+    forward and ``L`` resumed ones, ``L + L(L-1)/2`` blocks in all."""
     _require_no_tape("compute_importance_report")
     spec = spec or AggregationSpec()
     cfg = model.config
@@ -314,13 +289,14 @@ def compute_importance_report(
             raise PruneError(f"block ({start}, {length}) out of range for {cfg.num_layers} layers")
     adjacent = [(i, i + 1) for i in range(cfg.num_layers)] if include_bi else []
     block_pairs = [(s, s + ln) for s, ln in blocks]
-    scores, inputs = _calibration_pass(model, calib, spec, adjacent + block_pairs,
-                                       keep_inputs=include_ppl)
+    scores = _calibration_pass(model, calib, spec, adjacent + block_pairs, include_ppl)
     return ImportanceReport(
         head_scores=_per_layer(scores, "attn", cfg.num_layers, cfg.num_heads),
         neuron_scores=_per_layer(scores, "mlp_pre", cfg.num_layers, cfg.d_hidden),
         emb_scores=_emb_total(scores, cfg.num_layers, cfg.d_model),
-        layer_scores_ppl=layer_importance_ppl(model, calib, inputs) if include_ppl else None,
+        layer_scores_ppl=(
+            np.array([scores[("ppl", i)] for i in range(cfg.num_layers)]) if include_ppl else None
+        ),
         layer_scores_bi=(
             np.array([scores[("bi", *p)] for p in adjacent]) if include_bi else None
         ),

@@ -10,6 +10,7 @@ retraining is what stabilizes the relative order.
 
 from __future__ import annotations
 
+import itertools
 import json
 import warnings
 from dataclasses import dataclass, field, replace
@@ -202,38 +203,39 @@ def enumerate_candidates(
 
     Deterministic order: layers descending, then head count, then embedding
     width descending, then MLP width. An empty result is reported with a
-    warning, not an error.
+    warning, not an error; a size that overflows float arithmetic (in the
+    MLP width or the budget comparison) is a :class:`SearchError`.
     """
     _check_target(budget, tolerance, count_mode)
     lo, hi = space.layer_range
     seen = set()
     rows = []
-    for layers in range(lo, hi + 1):
-        for heads in space.head_choices:
-            for emb in space.embedding_choices:
-                for factor in space.mlp_expansion_factors:
-                    mlp = snap_mlp_width(factor, emb)
-                    key = (layers, heads, emb, mlp)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    cfg = ModelConfig(
-                        num_layers=layers,
-                        d_model=emb,
-                        num_heads=heads,
-                        num_query_groups=resolve_query_groups(
-                            space.num_query_groups, heads
-                        ),
-                        d_head=space.d_head,
-                        d_hidden=mlp,
-                        vocab_size=space.vocab_size,
-                        max_seq_len=space.max_seq_len,
-                        tie_embeddings=space.tie_embeddings,
-                    )
-                    counts = count_params(cfg)
-                    count = counts.total if count_mode == "total" else counts.non_embedding
-                    if abs(count - budget) <= tolerance * budget:
-                        rows.append((cfg, counts))
+    choices = itertools.product(range(lo, hi + 1), space.head_choices,
+                                space.embedding_choices, space.mlp_expansion_factors)
+    try:
+        for layers, heads, emb, factor in choices:
+            mlp = snap_mlp_width(factor, emb)
+            key = (layers, heads, emb, mlp)
+            if key in seen:
+                continue
+            seen.add(key)
+            cfg = ModelConfig(
+                num_layers=layers,
+                d_model=emb,
+                num_heads=heads,
+                num_query_groups=resolve_query_groups(space.num_query_groups, heads),
+                d_head=space.d_head,
+                d_hidden=mlp,
+                vocab_size=space.vocab_size,
+                max_seq_len=space.max_seq_len,
+                tie_embeddings=space.tie_embeddings,
+            )
+            counts = count_params(cfg)
+            count = counts.total if count_mode == "total" else counts.non_embedding
+            if abs(count - budget) <= tolerance * budget:
+                rows.append((cfg, counts))
+    except OverflowError as e:  # a size too large for float arithmetic
+        raise SearchError(f"search space sizes overflow: {e}") from e
     rows.sort(key=lambda r: (-r[0].num_layers, r[0].num_heads, -r[0].d_model, r[0].d_hidden))
     candidates = [
         Candidate(

@@ -31,6 +31,9 @@ SPACE_EDITS = {
     "string_embedding_choice": {"embedding_choices": ["16"]},
     "infinite_expansion_factor": {"mlp_expansion_factors": [math.inf]},
     "nan_expansion_factor": {"mlp_expansion_factors": [math.nan]},
+    "overflowing_expansion_factor": {"mlp_expansion_factors": [1e308]},
+    "overflowing_embedding_choice": {"embedding_choices": [10**400]},
+    "embedding_choice_overflowing_the_count": {"embedding_choices": [10**200]},
     "zero_query_groups": {"num_query_groups": 0},
     "string_query_groups": {"num_query_groups": "2"},
 }

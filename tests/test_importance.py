@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import _oracles as oracle
 from trimformer import autodiff as ad
+from trimformer import importance
 from trimformer.errors import ConfigError, DataError, PruneError
 from trimformer.importance import (
     AggregationSpec,
@@ -15,7 +16,6 @@ from trimformer.importance import (
     _apply_agg,
     _cosine_rows,
     compute_importance_report,
-    layer_importance_ppl,
 )
 from trimformer.model import ModelConfig, build_model, lm_loss
 from trimformer.pruning import apply_candidate
@@ -259,13 +259,25 @@ def test_head_scores_permutation_equivariant_within_group():
 # ---------------------------------------------------------------- depth
 
 
-def _assert_ppl_scores_match_remove_and_eval(dtype, n, sweep=layer_importance_ppl):
+def ppl_scores(m, calib, include_bi=False):
+    """The report's perplexity sweep, without BI unless asked."""
+    return compute_importance_report(m, calib, include_bi=include_bi).layer_scores_ppl
+
+
+def _assert_ppl_scores_match_remove_and_eval(dtype, n, sweep=ppl_scores):
+    # The depth-pruned model evaluated chunk by chunk, each 32-sample chunk's
+    # mean NLL weighted by its share of the samples as the sweep does; one
+    # chunk gets weight 1.0, so there this is the whole-set lm_loss.
     m = small_model(num_layers=3, dtype=dtype)
     calib = toks(n, 8)
     scores = sweep(m, calib)
     for i in range(3):
         removed = apply_candidate(m, m.config.with_(num_layers=2), None, layers_to_remove=[i])
-        assert scores[i] == math.exp(lm_loss(removed, calib).item())
+        nll = 0.0
+        for start in range(0, n, 32):
+            chunk = calib[start : start + 32]
+            nll += len(chunk) / n * lm_loss(removed, chunk).item()
+        assert scores[i] == math.exp(nll)
 
 
 def test_ppl_importance_matches_remove_and_eval_loop():
@@ -273,34 +285,62 @@ def test_ppl_importance_matches_remove_and_eval_loop():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("n", [4, 33])  # 33 > _CHUNK: the sweep scores one batch
+@pytest.mark.parametrize("n", [4, 33, 70])  # one chunk; two; three, the last partial
 def test_ppl_importance_matches_remove_and_eval_loop_per_dtype_and_size(dtype, n):
-    _assert_ppl_scores_match_remove_and_eval(dtype, n)
-
-
-@pytest.mark.parametrize("include_bi", [True, False])
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("n", [4, 33])  # 4 resumes from the calibration pass; 33 is two chunks
-def test_report_ppl_scores_match_remove_and_eval_loop(dtype, n, include_bi):
-    def sweep(m, calib):
-        return compute_importance_report(m, calib, include_bi=include_bi).layer_scores_ppl
+    def sweep(m, calib):  # every axis, block BI included
+        return compute_importance_report(m, calib, blocks=[(0, 2)]).layer_scores_ppl
 
     _assert_ppl_scores_match_remove_and_eval(dtype, n, sweep)
 
 
 @pytest.mark.parametrize("include_bi", [True, False])
-@pytest.mark.parametrize("n, forwards", [(1, 1), (32, 1), (33, 3)])
-def test_report_ppl_sweep_block_count(n, forwards, include_bi, monkeypatch):
-    # A set of at most 32 samples (one chunk) runs one forward and resumes
-    # the sweep from its block inputs: L + L(L-1)/2 blocks. A 33-sample set
-    # runs two chunks and the sweep's own whole-set forward besides.
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [4, 33, 70])
+def test_report_ppl_scores_match_remove_and_eval_loop(dtype, n, include_bi):
+    def sweep(m, calib):
+        return ppl_scores(m, calib, include_bi=include_bi)
+
+    _assert_ppl_scores_match_remove_and_eval(dtype, n, sweep)
+
+
+@pytest.mark.parametrize("copies", [2, 4])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_ppl_of_repeated_chunks_equals_one_chunk(copies, dtype):
+    # Each copy's NLL is weighted 1/copies, exactly, and sums back to the
+    # one-chunk NLL.
+    m = small_model(num_layers=3, dtype=dtype)
+    chunk = toks(32, 8)
+    want = ppl_scores(m, chunk)
+    assert np.array_equal(ppl_scores(m, np.concatenate([chunk] * copies)), want)
+
+
+def test_report_forwards_at_most_one_chunk(monkeypatch):
+    # Every forward, plain or resumed, sees one chunk of at most 32 samples,
+    # so the pass holds no buffer that grows with the calibration set.
+    sizes = []
+    real = importance.forward
+
+    def recording(model, tokens, **kw):
+        sizes.append(len(tokens))
+        return real(model, tokens, **kw)
+
+    monkeypatch.setattr(importance, "forward", recording)
+    compute_importance_report(small_model(num_layers=3), toks(70, 8), blocks=[(0, 2)])
+    assert sizes == [32] * 8 + [6] * 4  # 1 + L forwards per chunk
+
+
+@pytest.mark.parametrize("include_bi", [True, False])
+@pytest.mark.parametrize("n, chunks", [(1, 1), (32, 1), (33, 2)])
+def test_report_ppl_sweep_block_count(n, chunks, include_bi, monkeypatch):
+    # Each chunk runs one forward and resumes the sweep from its block
+    # inputs: L + L(L-1)/2 blocks per chunk.
     num_layers = 4
     calls = []
     real = ad.squared_relu
     monkeypatch.setattr(ad, "squared_relu", lambda a: calls.append(1) or real(a))
     compute_importance_report(small_model(num_layers=num_layers), toks(n, 6),
                               include_bi=include_bi)
-    assert len(calls) == forwards * num_layers + num_layers * (num_layers - 1) // 2
+    assert len(calls) == chunks * (num_layers + num_layers * (num_layers - 1) // 2)
 
 
 @pytest.mark.parametrize("num_layers", [4, 5])
@@ -311,7 +351,7 @@ def test_ppl_sweep_runs_each_prefix_of_blocks_once(num_layers, monkeypatch):
     calls = []
     real = ad.squared_relu
     monkeypatch.setattr(ad, "squared_relu", lambda a: calls.append(1) or real(a))
-    layer_importance_ppl(small_model(num_layers=num_layers), toks(2, 6))
+    ppl_scores(small_model(num_layers=num_layers), toks(2, 6))
     assert len(calls) == num_layers + num_layers * (num_layers - 1) // 2
 
 
@@ -322,21 +362,23 @@ def test_ppl_importance_exactly_removable_layer(toy_teacher, calib):
     m.params["layers.1.attn.wo"].data[:] = 0
     m.params["layers.1.mlp.w2"].data[:] = 0
     base_ppl = math.exp(lm_loss(m, calib).item())
-    scores = layer_importance_ppl(m, calib)
+    scores = ppl_scores(m, calib)
     assert scores[1] == base_ppl  # removal changes nothing
     others = np.delete(scores, 1)
     assert (others > scores[1]).all()
 
 
-def test_ppl_importance_single_layer_error():
+def test_ppl_importance_single_layer_error(monkeypatch):
+    # Raised before any forward runs.
+    monkeypatch.setattr(importance, "forward", None)
     with pytest.raises(PruneError):
-        layer_importance_ppl(small_model(num_layers=1), toks(2, 6))
+        ppl_scores(small_model(num_layers=1), toks(2, 6))
 
 
 def test_ppl_importance_deterministic():
     m = small_model()
     calib = toks(4, 8)
-    assert np.array_equal(layer_importance_ppl(m, calib), layer_importance_ppl(m, calib))
+    assert np.array_equal(ppl_scores(m, calib), ppl_scores(m, calib))
 
 
 def test_bi_identity_block_is_zero():
@@ -390,7 +432,7 @@ def test_importance_refuses_active_tape():
         with pytest.raises(ConfigError):
             compute_importance_report(m, calib, AggregationSpec()).head_scores
         with pytest.raises(ConfigError):
-            layer_importance_ppl(m, calib)
+            compute_importance_report(m, calib, include_ppl=False)
 
 
 def test_importance_records_no_tape_nodes():
@@ -449,8 +491,8 @@ def test_report_scores_must_be_finite_numbers(field, bad):
 
 
 def test_report_from_a_list_calibration_set_equals_the_array():
-    # The perplexity sweep scores the whole calibration set as one token
-    # array, whatever its container.
+    # The report chunks the calibration set as one token array, whatever
+    # its container.
     m = small_model(dtype=np.float32)
     calib = toks(5, 8)
     want = compute_importance_report(m, calib, blocks=[(0, 2)])
