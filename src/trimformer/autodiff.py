@@ -13,10 +13,13 @@ teacher terms of distillation call them too. Both shift by :func:`_row_max`.
 
 Recording model: ops run eagerly on numpy arrays. When a :class:`Tape` is
 active on the current thread *and* an input participates in the graph, the
-op appends a node (output, inputs, backward closure) to the tape. Without
-an active tape nothing is recorded, so forward-only callers pay no gradient
-bookkeeping. One tape per training context; contexts on different threads
-are independent.
+op appends a node (parent nodes, backward closure) to the tape. Nodes hold
+no tensors and a closure only the arrays its backward reads, so activations
+nothing reads die with their last caller reference, and backward frees each
+node as it consumes it. Gradients land on leaves only (parameters and other
+untaped ``requires_grad`` tensors). Without an active tape nothing is
+recorded, so forward-only callers pay no gradient bookkeeping. One tape per
+training context; contexts on different threads are independent.
 
 Reductions use numpy's sequential deterministic order, so identical inputs
 produce bit-identical outputs within one build.
@@ -50,7 +53,7 @@ class Tensor:
     """Immutable-after-construction dense array with an optional gradient.
 
     ``data`` is a row-major float32 or float64 numpy array. ``requires_grad``
-    marks graph participation; ``grad`` is populated by ``backward``.
+    marks graph participation; ``backward`` populates ``grad`` on leaves only.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_node")
@@ -96,13 +99,10 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("out", "inputs", "fn", "tape")
+    __slots__ = ("parents", "fn", "grad", "tape")
 
-    def __init__(self, out, inputs, fn, tape):
-        self.out = out
-        self.inputs = inputs
-        self.fn = fn
-        self.tape = tape
+    def __init__(self, parents, fn, tape):
+        self.parents, self.fn, self.grad, self.tape = parents, fn, None, tape
 
 
 class Tape:
@@ -133,32 +133,37 @@ class Tape:
             raise TapeError("tape already consumed by a previous backward pass")
         if loss.data.size != 1:
             raise ShapeError("backward requires a scalar loss")
-        loss.grad = np.ones_like(loss.data)
-        for node in reversed(self.nodes):
-            # An output gets a gradient only from a consumer that has one, so
-            # this skips exactly the nodes that do not feed the loss.
-            if node.out.grad is None:
-                continue
-            grads = node.fn(node.out.grad)
-            stored: set[int] = set()
-            for inp, g in zip(node.inputs, grads):
-                if g is None or not inp.requires_grad:
-                    continue
-                if inp.grad is None:
-                    # Aliasing the (now dead) output gradient is fine, but two
-                    # inputs must never share one stored array.
-                    if id(g) in stored:
-                        g = g.copy()
-                    stored.add(id(g))
-                    inp.grad = g
-                else:
-                    inp.grad += g
         self.consumed = True
-        # Each output holds its node and each node its output; break the
-        # cycle so the graph is freed now rather than by the cycle collector.
-        for node in self.nodes:
-            node.out._node = None
-        self.nodes.clear()
+        loss._node.grad = np.ones_like(loss.data)
+        nodes = self.nodes
+        while nodes:
+            # Unhook the node before its closure runs: the arrays it saved are
+            # freed once the closure has read them, before the next one runs.
+            node = nodes.pop()
+            g, fn, parents = node.grad, node.fn, node.parents
+            node.grad = node.fn = node.parents = None
+            # A node gets a gradient only from a consumer that has one, so
+            # this skips exactly the nodes that do not feed the loss.
+            if g is not None:
+                _accumulate(parents, fn(g))
+
+
+def _accumulate(parents, grads) -> None:
+    """Add each gradient into its parent's ``grad`` (a leaf or a node); the
+    gradients a consumed node returned die with this call's frame."""
+    stored: set[int] = set()
+    for parent, g in zip(parents, grads):
+        if g is None or parent is None:
+            continue
+        if parent.grad is None:
+            # Aliasing the (now dead) output gradient is fine, but two
+            # parents must never share one stored array.
+            if id(g) in stored:
+                g = g.copy()
+            stored.add(id(g))
+            parent.grad = g
+        else:
+            parent.grad += g
 
 
 class no_grad:
@@ -177,8 +182,8 @@ class no_grad:
 def backward(loss: Tensor) -> None:
     """Run the reverse pass of the tape that recorded ``loss``.
 
-    Populates ``.grad`` on every ``requires_grad`` tensor reachable from the
-    loss and consumes the tape.
+    Populates ``.grad`` on every leaf the loss depends on (parameters and
+    other untaped ``requires_grad`` tensors) and consumes the tape.
     """
     node = loss._node
     if node is None:
@@ -195,9 +200,12 @@ def _make(out_data, inputs, fn) -> Tensor:
     if tape is not None and any(t.requires_grad for t in inputs):
         global _nodes_recorded
         out.requires_grad = True
-        node = _Node(out, tuple(inputs), fn, tape)
-        out._node = node
-        tape.nodes.append(node)
+        # A parent is the input's node on this tape, else the input as a leaf
+        # (an output of a consumed tape is one), or None without a gradient.
+        parents = tuple(t._node if t._node is not None and t._node.tape is tape
+                        else t if t.requires_grad else None for t in inputs)
+        out._node = _Node(parents, fn, tape)
+        tape.nodes.append(out._node)
         _nodes_recorded += 1
     return out
 
@@ -224,20 +232,20 @@ def _as_tensor(x) -> Tensor:
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data + b.data
+    out, sa, sb = a.data + b.data, a.shape, b.shape
 
     def fn(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return _make(out, (a, b), fn)
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data - b.data
+    out, sa, sb = a.data - b.data, a.shape, b.shape
 
     def fn(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(-g, sb)
 
     return _make(out, (a, b), fn)
 
@@ -314,10 +322,10 @@ def squared_relu(a: Tensor) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
+    shape, sa = tuple(shape), a.shape
 
     def fn(g):
-        return (g.reshape(a.data.shape),)
+        return (g.reshape(sa),)
 
     return _make(a.data.reshape(shape), (a,), fn)
 
@@ -337,15 +345,15 @@ def transpose(a: Tensor, axes) -> Tensor:
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+    out, sa = a.data.sum(axis=axis, keepdims=keepdims), a.shape
 
     def fn(g):
         if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
+            return (np.broadcast_to(g, sa).copy(),)
         ax = axis if isinstance(axis, tuple) else (axis,)
         if not keepdims:
             g = np.expand_dims(g, ax)
-        return (np.broadcast_to(g, a.data.shape).copy(),)
+        return (np.broadcast_to(g, sa).copy(),)
 
     return _make(out, (a,), fn)
 
@@ -417,10 +425,10 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 
 def gather_last(a: Tensor, idx: np.ndarray) -> Tensor:
     """Select ``idx`` entries along the last axis (indices unique per row)."""
-    out = np.take_along_axis(a.data, idx, axis=-1)
+    out, sa, dt = np.take_along_axis(a.data, idx, axis=-1), a.shape, a.dtype
 
     def fn(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(sa, dt)
         np.put_along_axis(ga, idx, g, axis=-1)
         return (ga,)
 
@@ -646,13 +654,13 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     flat = logits.data[:, :scored].reshape(-1, v)
     t = targets.reshape(-1)
     logp = _log_softmax_rows(flat)
-    n = t.shape[0]
-    out = np.asarray(-logp[np.arange(n), t].mean(), dtype=logits.data.dtype)
+    n, dt = t.shape[0], logits.dtype
+    out = np.asarray(-logp[np.arange(n), t].mean(), dtype=dt)
 
     def fn(g):
         sm = np.exp(logp)
         sm[np.arange(n), t] -= 1.0
-        gl = np.zeros_like(logits.data)
+        gl = np.zeros((b, s, v), dt)
         gl[:, :scored] = (g / n) * sm.reshape(b, scored, v)
         return (gl,)
 

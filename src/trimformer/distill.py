@@ -424,6 +424,13 @@ def distill_loop(
                     state_dump={"step": step, "lr": lr, **components},
                 )
             ad.backward(loss)
+            bad = [k for k, p in trainable.items() if p.grad is not None
+                   and not np.isfinite(p.grad).all()]
+            if bad:
+                raise DivergenceError(
+                    f"non-finite gradient of {bad[0]} at step {step}",
+                    state_dump={"step": step, "lr": lr, "param": bad[0], **components},
+                )
             state.adam_update(trainable)
             state.tokens_seen += batch_size * seq_len
             entry = {"step": step, "lr": lr, "tokens": state.tokens_seen, **components}

@@ -45,7 +45,7 @@ class SearchError(TrimformerError):
 
 
 class DivergenceError(TrimformerError):
-    """Training produced a non-finite loss.
+    """Training produced a non-finite loss or gradient.
 
     ``state_dump`` carries the last known training state for post-mortems.
     """

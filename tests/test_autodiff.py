@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -373,6 +376,59 @@ def test_branch_off_the_loss_leaves_its_leaf_without_grad():
     ad.backward(loss)
     assert y.grad is None
     assert np.array_equal(x.grad, 2 * x.data)
+
+
+@pytest.fixture
+def no_gc():
+    """The cycle collector off, so only reference counting frees memory."""
+    gc.collect()
+    gc.disable()
+    yield
+    gc.enable()
+
+
+def test_intermediate_no_backward_reads_is_freed_when_dropped(no_gc):
+    # add's backward reads only shapes, so nothing in the graph keeps y.
+    w = t64(np.arange(9.0).reshape(3, 3), requires_grad=True)
+    with Tape():
+        y = ad.matmul(w, w)
+        z = ad.add(y, 1.0)
+        data = weakref.ref(y.data)
+        del y
+        assert data() is None
+        loss = ad.tsum(z)
+    ad.backward(loss)
+    ones = np.ones((3, 3))
+    assert np.array_equal(w.grad, ones @ w.data.T + w.data.T @ ones)
+
+
+def test_saved_input_is_freed_by_backward(no_gc):
+    w = t64(np.arange(4.0), requires_grad=True)
+    with Tape():
+        y = ad.mul(w, 2.0)
+        loss = ad.tsum(ad.mul(y, y))  # mul's backward reads y
+    data = weakref.ref(y.data)
+    del y
+    assert data() is not None
+    ad.backward(loss)
+    assert data() is None
+    assert np.array_equal(w.grad, 8 * w.data)
+    with pytest.raises(TapeError):
+        ad.backward(loss)
+
+
+def test_output_of_a_consumed_tape_is_a_leaf_under_a_new_tape(no_gc):
+    w = t64(np.arange(3.0), requires_grad=True)
+    with Tape():
+        y = ad.mul(w, 2.0)
+        loss = ad.tsum(y)
+    ad.backward(loss)
+    assert y.grad is None  # a non-leaf's gradient lived on its node
+    with Tape():
+        loss = ad.tsum(ad.mul(y, y))
+    ad.backward(loss)
+    assert np.array_equal(y.grad, 2 * y.data)
+    assert np.array_equal(w.grad, np.full(3, 2.0))
 
 
 # ---------------------------------------------------------------- fd checks

@@ -474,6 +474,64 @@ def test_divergence_aborts_with_state_dump(corpus):
     assert err.value.state_dump.get("step") == 0
 
 
+def test_non_finite_gradient_aborts_before_the_update(corpus, monkeypatch):
+    teacher = build_model(small_config(vocab_size=257, max_seq_len=64), seed=15)
+    student = build_model(small_config(vocab_size=257, max_seq_len=64), seed=16)
+    before = {k: v.data.copy() for k, v in student.params.items()}
+    names = list(student.trainable())
+    real_backward = ad.backward
+
+    def backward(loss):
+        real_backward(loss)
+        for name in names[2:4]:
+            student.params[name].grad.flat[0] = np.nan
+
+    monkeypatch.setattr(ad, "backward", backward)
+    with pytest.raises(DivergenceError, match=f"{names[2]} at step 0") as err:
+        distill_loop(teacher, student, corpus, DistillConfig(), steps=3)
+    assert err.value.state_dump["param"] == names[2]
+    assert math.isfinite(err.value.state_dump["loss_total"])
+    for k in before:
+        assert np.array_equal(student.params[k].data, before[k])
+
+
+def test_backward_peak_stays_near_the_live_forward(corpus, monkeypatch):
+    """Backward frees each node's saved arrays once its closure has read
+    them, so its peak sits near the memory live when it starts: about 10 %
+    of the forward graph above it here. A tape that kept every node, its
+    saved arrays and its output gradient to the end of the sweep adds about
+    70 %."""
+    import trimformer.distill as distill
+
+    config = small_config(num_layers=4, d_model=64, d_head=16, d_hidden=256,
+                          vocab_size=257, max_seq_len=64)
+    teacher, student = build_model(config, seed=17), build_model(config, seed=18)
+    corpus.split_ids("train")  # cached before tracing
+    marks = {}
+    real_loss, real_backward = distill.total_loss, ad.backward
+
+    def traced_loss(*args):
+        marks["start"] = tracemalloc.get_traced_memory()[0]
+        return real_loss(*args)
+
+    def traced_backward(loss):
+        marks["live"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        real_backward(loss)
+        marks["peak"] = tracemalloc.get_traced_memory()[1]
+
+    monkeypatch.setattr(distill, "total_loss", traced_loss)
+    monkeypatch.setattr(ad, "backward", traced_backward)
+    tracemalloc.start()
+    try:
+        distill_loop(teacher, student, corpus, DistillConfig(), steps=1,
+                     batch_size=4, seq_len=64)
+    finally:
+        tracemalloc.stop()
+    graph = marks["live"] - marks["start"]
+    assert marks["peak"] - marks["live"] < 0.25 * graph, marks
+
+
 def test_config_roundtrips_and_validates():
     cfg = full_cfg(top_k=5)
     assert DistillConfig.from_dict(cfg.to_dict()) == cfg
