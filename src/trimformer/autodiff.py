@@ -344,27 +344,21 @@ def transpose(a: Tensor, axes) -> Tensor:
 # reductions
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out, sa = a.data.sum(axis=axis, keepdims=keepdims), a.shape
+def tsum(a: Tensor, axis: int | None = None) -> Tensor:
+    """Sum over one axis, or over all of them when ``axis`` is None."""
+    out, sa = a.data.sum(axis=axis), a.shape
 
     def fn(g):
-        if axis is None:
-            return (np.broadcast_to(g, sa).copy(),)
-        ax = axis if isinstance(axis, tuple) else (axis,)
-        if not keepdims:
-            g = np.expand_dims(g, ax)
+        if axis is not None:
+            g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, sa).copy(),)
 
     return _make(out, (a,), fn)
 
 
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        n = a.data.size
-    else:
-        ax = axis if isinstance(axis, tuple) else (axis,)
-        n = int(np.prod([a.data.shape[i] for i in ax]))
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+def mean(a: Tensor, axis: int | None = None) -> Tensor:
+    n = a.data.size if axis is None else a.data.shape[axis]
+    return mul(tsum(a, axis=axis), 1.0 / n)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ Layout, all little-endian:
 The directory holds nothing the config does not fix, so :func:`_directory`
 derives it for both sides: one ``{"name", "dtype", "shape", "offset"}`` entry
 per parameter, packed back to back from the payload start. Save refuses
-tensors that differ from it; load checks the stored copy against it in one
-comparison, and save -> load -> save round trips are byte-identical. Reads go
+tensors that differ from it or hold non-finite values, so it writes no file
+that load refuses; load checks the stored copy against it in one comparison,
+and save -> load -> save round trips are byte-identical. Reads go
 one tensor at a time, straight into a new array checked once for finiteness,
 so no copy of the whole file is made. Writes hand each tensor's own memory to
 the file through a temp file and an atomic rename (:func:`write_atomic`, which
@@ -84,6 +85,9 @@ def save_checkpoint(model: Model, path: str) -> None:
                 f"tensor {e['name']} is {data.dtype} {data.shape}; its config implies "
                 f"float32 {tuple(e['shape'])}", field="tensors"
             )
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"tensor {e['name']} contains non-finite values",
+                                  field="tensors")
     header = json.dumps({"config": model.config.to_dict(), "tensors": directory}).encode("utf-8")
     write_atomic(
         path, MAGIC, struct.pack("<I", FORMAT_VERSION), struct.pack("<Q", len(header)),

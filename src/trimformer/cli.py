@@ -13,7 +13,8 @@ corpus (documents separated by blank lines)::
     trimformer train --config exp.json --data corpus.txt --out model.ckpt
     trimformer importance --ckpt model.ckpt --data corpus.txt --out report.json
     trimformer search --space space.json --budget 2e6 --tolerance 0.05 --out cands.json
-    trimformer distill --teacher model.ckpt --candidates cands.json --report report.json --data corpus.txt --out student.ckpt
+    trimformer prune --ckpt model.ckpt --report report.json --candidates cands.json --out pruned.ckpt
+    trimformer distill --teacher model.ckpt --student pruned.ckpt --data corpus.txt --out student.ckpt
     trimformer eval --ckpt student.ckpt --data corpus.txt
 
 ``exp.json`` holds a ``model`` section (:class:`ModelConfig` fields) and
@@ -95,7 +96,7 @@ def _train(args, config: dict, teacher: Model | None, student: Model,
         **section,
         **{key: getattr(args, key) for key in TRAIN_KEYS if getattr(args, key) is not None},
     }
-    check_train_args(**params)
+    check_train_args(**params, eval_every=args.eval_every)
     eval_data = None
     if args.eval_every:
         eval_data = sample_calibration(data, 16, params["seq_len"], args.seed, split="val")
@@ -224,22 +225,13 @@ def cmd_distill(args) -> int:
     teacher = load_checkpoint(args.teacher)
     data = _load_dataset(args.data, args.seed)
     config = _load_json(args.config) if args.config else {}
-    if args.student:
-        student = load_checkpoint(args.student)
-    elif args.candidates:
-        if not args.report:
-            raise ConfigError("pruning from a manifest needs --report")
-        target = _pick_candidate(CandidateSet.load(args.candidates), args.pick)
-        report = ImportanceReport.load(args.report)
-        student = apply_candidate(teacher, target, report, merge_heads=args.merge_heads)
-    else:
-        raise ConfigError("distill needs --student or --candidates")
+    student = load_checkpoint(args.student)
 
     distill_dict = dict(_section(config, "distill"))
     cfg = DistillConfig.from_dict(distill_dict) if distill_dict else DistillConfig()
-    depth_cut = 1.0 - student.config.num_layers / teacher.config.num_layers
-    if "is_components" not in distill_dict and depth_cut > 0.25:
-        # Significant depth reduction: add intermediate-state supervision.
+    if ("is_components" not in distill_dict
+            and student.config.num_layers < 0.75 * teacher.config.num_layers):
+        # Depth cut by more than a quarter: add intermediate-state supervision.
         cfg = DistillConfig.from_dict({
             **cfg.to_dict(),
             "is_components": ["emb", "o"],
@@ -347,11 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--teacher", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--student", default=None)
-    p.add_argument("--candidates", default=None)
-    p.add_argument("--pick", default="best")
-    p.add_argument("--report", default=None)
-    p.add_argument("--merge-heads", dest="merge_heads", action="store_true")
+    p.add_argument("--student", required=True, help="pruned checkpoint to retrain")
     p.add_argument("--config", default=None, help="experiment JSON with distill/train sections")
     _add_train_flags(p)
     _add_common(p)

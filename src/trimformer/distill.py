@@ -27,11 +27,12 @@ from . import autodiff as ad
 from .autodiff import Tensor, _log_softmax_rows, _softmax_rows
 from .data import TokenDataset, sample_batch
 from .errors import ConfigError, DataError, DivergenceError, ShapeError
-from .model import Model, _is_int, _is_number, forward, lm_loss
+from .model import Model, _is_finite, _is_int, _is_number, forward, lm_loss
 
 LOGIT_LOSSES = ("kld", "rkld", "mse", "cosine")
 IS_LOSSES = ("cosine", "mse")
 IS_COMPONENTS = ("emb", "o", "i", "att")
+BETA1, BETA2, ADAM_EPS = 0.9, 0.95, 1e-8  # Adam moment decays and denominator floor
 
 
 @dataclass(frozen=True)
@@ -213,59 +214,51 @@ def _relation_kld(teacher_states: np.ndarray, student_states, d_head: int) -> Te
     return ad.mean(kld)
 
 
+def _mapped_sites(cfg: DistillConfig, col: int) -> list[tuple[str, tuple[str, int]]]:
+    """``(component, activation key)`` pairs that :func:`intermediate_loss`
+    compares, in term order, on one side of the layer map (``col`` 0 is the
+    teacher, 1 the student): emb at the embedding output ``("x", 0)``, o at
+    block ``i``'s next norm site ``("ln1", i + 1)``, i at the MLP input
+    ``("ln2", i)``, att at the query/key/value states ``("qkv", i)``."""
+    comps = cfg.is_components
+    sites = [("emb", ("x", 0))] if "emb" in comps else []
+    for pair in cfg.layer_map:
+        i = pair[col]
+        sites += [(comp, key) for comp, key in (
+            ("o", ("ln1", i + 1)), ("i", ("ln2", i)), ("att", ("qkv", i))
+        ) if comp in comps]
+    return sites
+
+
 def intermediate_loss(
     teacher_acts: dict, student_acts: dict, projection: SharedProjection,
     cfg: DistillConfig, d_head: int,
 ) -> Tensor:
-    """Sum of the chosen component losses over all mapped layer pairs.
-
-    Reads the activation maps of :func:`~trimformer.model.forward`.
-    emb: embedding-layer outputs ``("x", 0)``. o: block ``i``'s output at
-    its next norm site ``("ln1", i + 1)``. i: MLP inputs ``("ln2", i)``.
-    att: query/key/value self-relation maps ``("qkv", i)``, always compared
-    with row-wise KL regardless of ``is_loss_fn``.
-    """
-    terms: list[Tensor] = []
-
-    def pair(site, t_layer, s_layer, what):
-        t_key, s_key = (site, t_layer), (site, s_layer)
-        if t_key not in teacher_acts or s_key not in student_acts:
-            raise DataError(f"capture missing states for component {what!r}")
-        return teacher_acts[t_key], student_acts[s_key]
-
-    def state_term(t_state, s_state):
-        return _state_loss(t_state.data, projection.apply(s_state), cfg.is_loss_fn)
-
-    if "emb" in cfg.is_components:
-        terms.append(state_term(*pair("x", 0, 0, "emb")))
+    """Sum of the chosen component losses over all mapped layer pairs, at
+    the sites of :func:`_mapped_sites`. att compares self-relation maps with
+    row-wise KL regardless of ``is_loss_fn``."""
     mapped = [c for c in ("o", "i", "att") if c in cfg.is_components]
     if mapped and not cfg.layer_map:
         raise ConfigError(f"components {mapped} need a teacher:student layer_map")
-    for t_idx, s_idx in cfg.layer_map:
-        if "o" in cfg.is_components:
-            terms.append(state_term(*pair("ln1", t_idx + 1, s_idx + 1, "o")))
-        if "i" in cfg.is_components:
-            terms.append(state_term(*pair("ln2", t_idx, s_idx, "i")))
-        if "att" in cfg.is_components:
-            for t_states, s_states in zip(*pair("qkv", t_idx, s_idx, "att")):
-                terms.append(_relation_kld(t_states.data, s_states, d_head))
+    terms: list[Tensor] = []
+    for (comp, t_key), (_, s_key) in zip(_mapped_sites(cfg, 0), _mapped_sites(cfg, 1)):
+        if t_key not in teacher_acts or s_key not in student_acts:
+            raise DataError(f"capture missing states for component {comp!r}")
+        t_state, s_state = teacher_acts[t_key], student_acts[s_key]
+        if comp == "att":
+            terms += [_relation_kld(t.data, s, d_head) for t, s in zip(t_state, s_state)]
+        else:
+            terms.append(_state_loss(t_state.data, projection.apply(s_state), cfg.is_loss_fn))
     if not terms:
         raise ConfigError("intermediate_loss called with no components selected")
     return reduce(ad.add, terms)
 
 
 def _capture_for(cfg: DistillConfig, col: int):
-    """Tap keeping the sites :func:`intermediate_loss` reads on one side of
-    the layer map (``col`` 0 is the teacher, 1 the student)."""
-    comps = cfg.is_components
-    wanted = {("x", 0)} if "emb" in comps else set()
-    for pair in cfg.layer_map:
-        i = pair[col]
-        sites = {"o": ("ln1", i + 1), "i": ("ln2", i), "att": ("qkv", i)}
-        wanted |= {key for comp, key in sites.items() if comp in comps}
+    """Tap keeping the :func:`_mapped_sites` of one side of the layer map."""
+    wanted = frozenset(key for _, key in _mapped_sites(cfg, col))
     if not wanted:
         return None
-    wanted = frozenset(wanted)
     return lambda site, layer, value: value if (site, layer) in wanted else None
 
 
@@ -335,9 +328,6 @@ class TrainState:
     total_steps: int
     lr_max: float
     lr_min: float
-    beta1: float = 0.9
-    beta2: float = 0.95
-    eps: float = 1e-8
     step: int = 0
     tokens_seen: int = 0
     m: dict = field(default_factory=dict)
@@ -356,25 +346,25 @@ class TrainState:
             if name not in self.m:
                 self.m[name] = np.zeros_like(p.data)
                 self.v[name] = np.zeros_like(p.data)
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * (g * g)
-            mhat = self.m[name] / (1 - self.beta1**t)
-            vhat = self.v[name] / (1 - self.beta2**t)
-            p.data = p.data - lr * mhat / (np.sqrt(vhat) + self.eps)
+            self.m[name] = BETA1 * self.m[name] + (1 - BETA1) * g
+            self.v[name] = BETA2 * self.v[name] + (1 - BETA2) * (g * g)
+            mhat = self.m[name] / (1 - BETA1**t)
+            vhat = self.v[name] / (1 - BETA2**t)
+            p.data = p.data - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
         self.step = t
 
 
-def check_train_args(steps, batch_size, seq_len, lr_max, lr_min) -> None:
+def check_train_args(steps, batch_size, seq_len, lr_max, lr_min, eval_every=0) -> None:
     """Raise :class:`ConfigError` unless the sizes are integers with
-    ``steps >= 0``, ``batch_size >= 1`` and ``seq_len >= 2``, and the
-    learning rates are numbers."""
+    ``steps >= 0``, ``batch_size >= 1``, ``seq_len >= 2`` and
+    ``eval_every >= 0``, and the learning rates are finite numbers."""
     for name, value, low in (("steps", steps, 0), ("batch_size", batch_size, 1),
-                             ("seq_len", seq_len, 2)):
+                             ("seq_len", seq_len, 2), ("eval_every", eval_every, 0)):
         if not _is_int(value, low):
             raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
     for name, value in (("lr_max", lr_max), ("lr_min", lr_min)):
-        if not _is_number(value):
-            raise ConfigError(f"{name} must be a number, got {value!r}")
+        if not _is_finite(value):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
 def distill_loop(
@@ -396,7 +386,7 @@ def distill_loop(
     ``teacher`` when the config has teacher terms (``teacher`` may be None
     otherwise). Returns the trained student and its per-step metric
     records."""
-    check_train_args(steps, batch_size, seq_len, lr_max, lr_min)
+    check_train_args(steps, batch_size, seq_len, lr_max, lr_min, eval_every)
     if teacher is None and cfg.needs_teacher:
         raise ConfigError("logit and intermediate losses need a teacher")
     projection = None

@@ -108,21 +108,13 @@ class ParamCounts(NamedTuple):
 
 
 def count_params(config: ModelConfig) -> ParamCounts:
-    """Exact parameter counts from the config alone.
-
-    Embedding tables count once when tied, twice otherwise; all LayerNorm
-    parameters land in the non-embedding bucket.
-    """
-    d, dh = config.d_model, config.d_head
-    attn = (config.num_heads * dh * d) * 2  # query in, output back
-    attn += (config.num_query_groups * dh * d) * 2  # shared key/value
-    mlp = 2 * config.d_hidden * d
-    ln = 4 * d  # two norms per layer
-    per_layer = attn + mlp + ln
-    non_emb = config.num_layers * per_layer + 2 * d  # final norm
-    emb = config.vocab_size * d
-    total = non_emb + (emb if config.tie_embeddings else 2 * emb)
-    return ParamCounts(total, non_emb)
+    """Exact parameter counts from the config alone: the sizes of
+    :func:`_layer_param_shapes`. The ``embedding`` and (untied) ``lm_head``
+    tables are the embedding parameters; everything else, LayerNorms
+    included, is non-embedding."""
+    sizes = {name: math.prod(shape) for name, shape in _layer_param_shapes(config)}
+    total = sum(sizes.values())
+    return ParamCounts(total, total - sizes["embedding"] - sizes.get("lm_head", 0))
 
 
 class Model:

@@ -191,15 +191,6 @@ def _kept_layers(num_layers: int, layer_indices) -> list[int]:
     return [i for i in range(num_layers) if i not in removed]
 
 
-def least_important_layers(
-    report: ImportanceReport, count: int, metric: str = "ppl"
-) -> list[int]:
-    scores = report.layer_scores(metric)
-    if scores is None:
-        raise PruneError(f"rankings do not cover the depth axis ({metric})")
-    return sorted(np.argsort(np.asarray(scores), kind="stable")[:count].tolist())
-
-
 def apply_candidate(
     model: Model,
     candidate: ModelConfig,
@@ -226,6 +217,6 @@ def apply_candidate(
     elif n_remove > 0:
         if report is None:
             raise PruneError("depth pruning needs rankings or an explicit list")
-        _need(f"depth axis ({depth_metric})", report.layer_scores(depth_metric), (n,))
-        removed = least_important_layers(report, n_remove, depth_metric)
+        scores = _need(f"depth axis ({depth_metric})", report.layer_scores(depth_metric), (n,))
+        removed = sorted(np.argsort(scores, kind="stable")[:n_remove].tolist())
     return _prune(model, candidate, report, _kept_layers(n, removed), merge_heads)

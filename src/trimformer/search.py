@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -56,17 +56,8 @@ class SearchSpace:
                               f"got {list(self.mlp_expansion_factors)}")
 
     def to_dict(self) -> dict:
-        return {
-            "layer_range": list(self.layer_range),
-            "head_choices": list(self.head_choices),
-            "mlp_expansion_factors": list(self.mlp_expansion_factors),
-            "embedding_choices": list(self.embedding_choices),
-            "d_head": self.d_head,
-            "vocab_size": self.vocab_size,
-            "num_query_groups": self.num_query_groups,
-            "max_seq_len": self.max_seq_len,
-            "tie_embeddings": self.tie_embeddings,
-        }
+        return {f.name: list(v) if isinstance(v := getattr(self, f.name), tuple) else v
+                for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SearchSpace":

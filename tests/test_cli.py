@@ -59,6 +59,7 @@ def workdir(tmp_path_factory):
         "zero_batch.json": {"model": MODEL, "train": {"steps": 1, "batch_size": 0}},
         "negative_steps.json": {"model": MODEL, "train": {"steps": -1}},
         "string_lr.json": {"model": MODEL, "train": {"steps": 1, "lr_max": "1e-3"}},
+        "one_step.json": {"model": MODEL, "train": {"steps": 1, "batch_size": 2, "seq_len": 8}},
         "string_seq_len.json": {"model": MODEL, "train": {"steps": 1, "seq_len": "8"}},
         "string_tie.json": {
             "model": {**MODEL, "tie_embeddings": "false"},
@@ -175,6 +176,15 @@ CASES = {
     ),
     "train_lr_a_string": (
         "train --config {d}/string_lr.json --data {d}/corpus.txt --out {d}/o.ckpt",
+        "ConfigError",
+    ),
+    "train_lr_max_nan": (
+        "train --config {d}/one_step.json --data {d}/corpus.txt --out {d}/o.ckpt --lr-max nan",
+        "ConfigError",
+    ),
+    "train_eval_every_negative": (
+        "train --config {d}/one_step.json --data {d}/corpus.txt --out {d}/o.ckpt "
+        "--eval-every -1",
         "ConfigError",
     ),
     "train_seq_len_a_string_with_eval": (
@@ -376,7 +386,7 @@ def test_pipeline_recipe_end_to_end(tmp_path, capsys):
         "--rank --ckpt {d}/model.ckpt --report {d}/report.json --steps 2 --seq-len 8 " + data,
         "prune --ckpt {d}/model.ckpt --report {d}/report.json --candidates {d}/cands.json "
         "--out {d}/pruned.ckpt",
-        "distill --teacher {d}/model.ckpt --candidates {d}/cands.json --report {d}/report.json "
+        "distill --teacher {d}/model.ckpt --student {d}/pruned.ckpt "
         "--config {d}/retrain.json --steps 2 --out {d}/student.ckpt "
         "--metrics {d}/distill.jsonl " + data,
         "eval --ckpt {d}/student.ckpt --samples 4 --seq-len 8 " + data,
@@ -395,6 +405,19 @@ def test_pipeline_recipe_end_to_end(tmp_path, capsys):
     # --steps 2 beats the config's 5; the config's batch_size and seq_len hold.
     retrain = [json.loads(line) for line in (d / "distill.jsonl").read_text().splitlines()]
     assert [m["tokens"] for m in retrain] == [16, 32]
+
+
+def test_distill_from_a_zero_layer_teacher(workdir, tmp_path, capsys):
+    """A 0-layer teacher is a valid config: no depth ratio is taken from it."""
+    empty = build_model(ModelConfig(**{**MODEL, "num_layers": 0}), seed=0)
+    save_checkpoint(empty, str(tmp_path / "empty.ckpt"))
+    argv = (f"distill --teacher {tmp_path}/empty.ckpt --student {tmp_path}/empty.ckpt "
+            f"--data {workdir}/corpus.txt --out {tmp_path}/s.ckpt "
+            "--steps 1 --batch-size 2 --seq-len 8")
+    assert cli.main(argv.split()) == 0
+    line = json.loads(capsys.readouterr().out)
+    assert line["distill_config"]["is_components"] == []
+    assert load_checkpoint(str(tmp_path / "s.ckpt")).config.num_layers == 0
 
 
 def test_eval_runs_one_forward(workdir, capsys, monkeypatch):

@@ -422,6 +422,7 @@ SAVE_EDITS = {
     "mis_shaped": lambda p: setattr(p["layers.0.mlp.w1"], "data", p["layers.0.mlp.w1"].data[1:]),
     "missing": lambda p: p.pop("final_ln.beta"),
     "extra": lambda p: p.update(spare=p["final_ln.beta"]),
+    "non_finite": lambda p: p["final_ln.gamma"].data.fill(np.nan),
 }
 
 

@@ -6,7 +6,6 @@ from trimformer.importance import ImportanceReport, compute_importance_report
 from trimformer.model import ModelConfig, _layer_param_shapes, build_model, count_params, forward
 from trimformer.pruning import (
     apply_candidate,
-    least_important_layers,
     merge_pairs,
     resolve_query_groups,
 )
@@ -458,8 +457,6 @@ def test_misspelled_depth_metric_is_rejected():
     m = build_model(small_config(num_layers=4), seed=31)
     rep = report_for(m)
     for metric in ("PPL", "perplexity", ""):
-        with pytest.raises(ConfigError):
-            least_important_layers(rep, 1, metric)
         with pytest.raises(ConfigError):
             apply_candidate(m, small_config(num_layers=3), rep, depth_metric=metric)
 
