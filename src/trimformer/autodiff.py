@@ -6,7 +6,8 @@ embedding lookup, gather along the vocab axis, rotary position twiddles,
 cross-entropy over a prefix of the positions (next-token targets meet the
 full logits, unsliced) and fused :func:`causal_attention`, one
 node from scores to per-head output. Every weight product (a 2-D right
-operand) runs as one 2-D GEMM over the left operand's folded leading axes.
+operand, or a :func:`linear` weight stored ``[out, in]``) runs as one 2-D
+GEMM over the left operand's folded leading axes.
 Every probability comes from one kernel, :func:`_softmax_rows`, and every
 log-probability from one other, :func:`_log_softmax_rows`; the numpy-side
 teacher terms of distillation call them too. Both shift by :func:`_row_max`.
@@ -397,6 +398,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), fn)
 
 
+def linear(x: Tensor, w: Tensor) -> Tensor:
+    """``x @ wᵀ`` for a weight stored ``[out, in]``, as one node.
+
+    The leading axes of ``x`` fold into one 2-D GEMM, as in :func:`matmul`,
+    and the weight gradient ``gᵀ x`` comes back C-ordered, like ``w``.
+    """
+    xd, wd = x.data, w.data
+    if wd.ndim != 2 or xd.ndim < 2 or xd.shape[-1] != wd.shape[1]:
+        raise ShapeError(f"linear needs [..., in] and [out, in] operands, "
+                         f"got {xd.shape} and {wd.shape}")
+    n, k = wd.shape
+    out = np.matmul(xd.reshape(-1, k), wd.T).reshape(xd.shape[:-1] + (n,))
+
+    def fn(g):
+        g2 = g.reshape(-1, n)
+        return np.matmul(g2, wd).reshape(xd.shape), np.matmul(g2.T, xd.reshape(-1, k))
+
+    return _make(out, (x, w), fn)
+
+
 # ---------------------------------------------------------------------------
 # indexing
 
@@ -567,23 +588,28 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     d = x.data.shape[-1]
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ShapeError("layer_norm parameter extents do not match input width")
-    xc = x.data - x.data.mean(axis=-1, keepdims=True)
-    var = np.square(xc).mean(axis=-1, keepdims=True)  # np.var's steps, so bit-identical to it
-    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.data.dtype))
-    xhat = xc * inv
-    out = xhat * gamma.data + beta.data
+    # np.var's steps, so bit-identical to it. The centred copy becomes xhat in
+    # place, and the square buffer becomes the output.
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    out = np.square(xhat)
+    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + np.asarray(eps, dtype=x.data.dtype))
+    xhat *= inv
+    np.multiply(xhat, gamma.data, out=out)
+    out += beta.data
 
     def fn(g):
         lead = tuple(range(g.ndim - 1))
         gbeta = g.sum(axis=lead)
-        ggamma = (g * xhat).sum(axis=lead)
+        buf = g * xhat
+        ggamma = buf.sum(axis=lead)
+        # gx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
         dxhat = g * gamma.data
-        gx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
-        return gx, ggamma, gbeta
+        np.multiply(dxhat, xhat, out=buf)
+        proj = buf.mean(axis=-1, keepdims=True)
+        dxhat -= dxhat.mean(axis=-1, keepdims=True)
+        dxhat -= np.multiply(xhat, proj, out=buf)
+        dxhat *= inv
+        return dxhat, ggamma, gbeta
 
     return _make(out, (x, gamma, beta), fn)
 

@@ -151,19 +151,29 @@ def synthetic_markov_text(n_docs: int, doc_len: int, seed: int) -> str:
 
     Each letter transitions to one of four successors with skewed
     probabilities (4:3:2:1), giving the language model something learnable.
+
+    A document draws its ``doc_len`` picks in one ``rng.random`` call and
+    looks them up in the cumulative ``probs``: the doubles and lookups of
+    one ``rng.choice(4, p=probs)`` per letter, so the text is byte-identical
+    to that loop's (the pick after the last letter is drawn and unused).
     """
+    if not (_is_int(n_docs, 0) and _is_int(doc_len, 0)):
+        raise DataError(f"corpus sizes must be integers >= 0, got n_docs={n_docs!r}, "
+                        f"doc_len={doc_len!r}")
     alphabet, branching = string.ascii_lowercase, 4
     rng = np.random.default_rng(seed)
     k = len(alphabet)
-    successors = np.stack([rng.permutation(k)[:branching] for _ in range(k)])
+    successors = [rng.permutation(k)[:branching].tolist() for _ in range(k)]
     probs = np.arange(branching, 0, -1, dtype=np.float64)
     probs /= probs.sum()
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
     docs = []
     for _ in range(n_docs):
         sym = int(rng.integers(0, k))
         chars = []
-        for _ in range(doc_len):
+        for pick in cdf.searchsorted(rng.random(doc_len), side="right").tolist():
             chars.append(alphabet[sym])
-            sym = int(successors[sym][rng.choice(branching, p=probs)])
+            sym = successors[sym][pick]
         docs.append("".join(chars))
     return "\n\n".join(docs) + "\n"

@@ -346,11 +346,14 @@ class TrainState:
             if name not in self.m:
                 self.m[name] = np.zeros_like(p.data)
                 self.v[name] = np.zeros_like(p.data)
-            self.m[name] = BETA1 * self.m[name] + (1 - BETA1) * g
-            self.v[name] = BETA2 * self.v[name] + (1 - BETA2) * (g * g)
-            mhat = self.m[name] / (1 - BETA1**t)
-            vhat = self.v[name] / (1 - BETA2**t)
-            p.data = p.data - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+            m, v = self.m[name], self.v[name]
+            m *= BETA1
+            m += (1 - BETA1) * g
+            v *= BETA2
+            v += (1 - BETA2) * (g * g)
+            step = lr * (m / (1 - BETA1**t)) / (np.sqrt(v / (1 - BETA2**t)) + ADAM_EPS)
+            # A fresh array: the old p.data may be shared with another model.
+            p.data = np.subtract(p.data, step, out=step)
         self.step = t
 
 

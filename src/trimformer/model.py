@@ -220,7 +220,7 @@ def _attention(model: Model, x: Tensor, layer: int, emit):
     cos, sin = model.rope_tables(s)
 
     def project(w: Tensor, n_heads: int) -> Tensor:
-        y = ad.matmul(x, ad.transpose(w, (1, 0)))
+        y = ad.linear(x, w)
         y = ad.reshape(y, (b, s, n_heads, dh))
         return ad.transpose(y, (0, 2, 1, 3))  # head-major
 
@@ -297,13 +297,13 @@ def forward(model: Model, tokens: np.ndarray, tap=None, start=None):
             x, model.layer_param(i, "ln2.gamma"), model.layer_param(i, "ln2.beta")
         )
         emit("ln2", i, h2)
-        pre = ad.matmul(h2, ad.transpose(model.layer_param(i, "mlp.w1"), (1, 0)))
+        pre = ad.linear(h2, model.layer_param(i, "mlp.w1"))
         emit("mlp_pre", i, pre)
         x = ad.add(x, ad.matmul(ad.squared_relu(pre), model.layer_param(i, "mlp.w2")))
     emit("x", cfg.num_layers, x)
     x = ad.layer_norm(x, model.params["final_ln.gamma"], model.params["final_ln.beta"])
     emit("ln1", cfg.num_layers, x)
-    logits = ad.matmul(x, ad.transpose(model.output_head(), (1, 0)))
+    logits = ad.linear(x, model.output_head())
     return logits, acts
 
 

@@ -66,6 +66,49 @@ def test_fd_matmul_stacked_left_against_2d_right(transposed):
     oracle.check_fd(lambda: compute().item(), {"x": x, "w": w}, h=1e-5, tol=1e-6)
 
 
+@pytest.mark.parametrize("heads,groups", [(4, 4), (4, 2)])
+def test_fd_linear_projections(heads, groups):
+    # The attention projections of an MHA and a GQA block: [B, S, d] inputs
+    # against [out, in] weights, read back head-major.
+    rng = np.random.default_rng(12)
+    b, s, d, dh = 2, 5, 6, 3
+    x = t64(rng.normal(size=(b, s, d)), requires_grad=True)
+    ws = {
+        "wq": t64(rng.normal(size=(heads * dh, d)), requires_grad=True),
+        "wk": t64(rng.normal(size=(groups * dh, d)), requires_grad=True),
+        "wv": t64(rng.normal(size=(groups * dh, d)), requires_grad=True),
+    }
+    mask = np.triu(np.full((s, s), -1e9), k=1)
+
+    def compute():
+        q, k, v = (
+            ad.transpose(ad.reshape(ad.linear(x, ws[name]), (b, s, n, dh)), (0, 2, 1, 3))
+            for name, n in (("wq", heads), ("wk", groups), ("wv", groups))
+        )
+        y = ad.causal_attention(q, k, v, mask)
+        return ad.tsum(ad.mul(y, y))
+
+    with Tape():
+        loss = compute()
+    ad.backward(loss)
+    assert all(w.grad.flags.c_contiguous for w in ws.values())
+    oracle.check_fd(lambda: compute().item(), {"x": x, **ws}, h=1e-5, tol=1e-5)
+
+
+def test_linear_equals_the_product_with_the_transposed_weight():
+    rng = np.random.default_rng(13)
+    x = t64(rng.normal(size=(3, 4, 5)))
+    w = t64(rng.normal(size=(6, 5)))
+    got = ad.linear(x, w).data
+    assert got.shape == (3, 4, 6)
+    assert np.array_equal(got, ad.matmul(x, ad.transpose(w, (1, 0))).data)
+    for bad in (t64(np.ones((6, 4))), t64(np.ones(5)), t64(np.ones((1, 6, 5)))):
+        with pytest.raises(ShapeError):
+            ad.linear(x, bad)
+    with pytest.raises(ShapeError):
+        ad.linear(t64(np.ones(5)), w)
+
+
 def test_matmul_shape_mismatch():
     with pytest.raises(ShapeError):
         ad.matmul(t64(np.ones((2, 3))), t64(np.ones((2, 3))))

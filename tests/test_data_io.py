@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import string
 import struct
 
 import numpy as np
@@ -127,6 +128,51 @@ def test_dataset_load_rejects_unparseable_manifest(tmp_path):
 def test_dataset_rejects_out_of_vocab():
     with pytest.raises(DataError):
         TokenDataset(np.array([0, 300], dtype=np.uint32), 257, [])
+
+
+# ---------------------------------------------------------------- demo corpus
+
+
+def per_character_markov_text(n_docs, doc_len, seed):
+    """The corpus written one ``rng.choice`` call per character: the loop
+    ``synthetic_markov_text`` must reproduce byte for byte."""
+    alphabet, branching = string.ascii_lowercase, 4
+    rng = np.random.default_rng(seed)
+    k = len(alphabet)
+    successors = np.stack([rng.permutation(k)[:branching] for _ in range(k)])
+    probs = np.arange(branching, 0, -1, dtype=np.float64)
+    probs /= probs.sum()
+    docs = []
+    for _ in range(n_docs):
+        sym = int(rng.integers(0, k))
+        chars = []
+        for _ in range(doc_len):
+            chars.append(alphabet[sym])
+            sym = int(successors[sym][rng.choice(branching, p=probs)])
+        docs.append("".join(chars))
+    return "\n\n".join(docs) + "\n"
+
+
+@pytest.mark.parametrize("n_docs", [0, 1, 2])
+@pytest.mark.parametrize("doc_len", [0, 1, 333])
+def test_markov_text_equals_the_per_character_loop(n_docs, doc_len):
+    for seed in [*range(40), 2**31, 2**40 + 7]:
+        want = per_character_markov_text(n_docs, doc_len, seed)
+        assert synthetic_markov_text(n_docs, doc_len, seed) == want
+
+
+@given(n_docs=st.integers(0, 4), doc_len=st.integers(0, 60), seed=st.integers(0, 2**64 - 1))
+def test_markov_text_equals_the_per_character_loop_anywhere(n_docs, doc_len, seed):
+    want = per_character_markov_text(n_docs, doc_len, seed)
+    assert synthetic_markov_text(n_docs, doc_len, seed) == want
+
+
+@pytest.mark.parametrize(
+    "n_docs,doc_len", [(-1, 5), (2, -3), (2.0, 5), (2, 5.0), (True, 5), (2, False)]
+)
+def test_markov_text_rejects_bad_sizes(n_docs, doc_len):
+    with pytest.raises(DataError, match="corpus sizes"):
+        synthetic_markov_text(n_docs, doc_len, 0)
 
 
 # ---------------------------------------------------------------- sampling

@@ -11,6 +11,9 @@ from trimformer import autodiff as ad
 from trimformer.autodiff import Tape, Tensor
 from trimformer.data import sample_batch
 from trimformer.distill import (
+    ADAM_EPS,
+    BETA1,
+    BETA2,
     DistillConfig,
     SharedProjection,
     TrainState,
@@ -428,6 +431,29 @@ def test_conventional_loop_matches_straight_line_reference(corpus):
     assert len(metrics) == 8
     for k in ref.params:
         assert np.array_equal(model.params[k].data, ref.params[k].data)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_adam_update_equals_the_straight_line_expression(order):
+    # In-place moments and one fresh parameter array give the bytes of the
+    # textbook expression, whatever the gradient's memory order.
+    rng = np.random.default_rng(3)
+    start = rng.normal(size=(6, 5)).astype(np.float32)
+    p = Tensor(start.copy(), requires_grad=True)
+    shared = p.data
+    state = TrainState(total_steps=3, lr_max=1e-2, lr_min=1e-3)
+    ref, m, v = start, np.zeros_like(start), np.zeros_like(start)
+    for t in (1, 2, 3):
+        g = np.asarray(rng.normal(size=start.shape).astype(np.float32), order=order)
+        lr = state.lr()
+        p.grad = g
+        state.adam_update({"w": p})
+        m = BETA1 * m + (1 - BETA1) * g
+        v = BETA2 * v + (1 - BETA2) * (g * g)
+        ref = ref - lr * (m / (1 - BETA1**t)) / (np.sqrt(v / (1 - BETA2**t)) + ADAM_EPS)
+        assert p.data.dtype == np.float32 and p.data.tobytes() == ref.tobytes()
+        assert state.m["w"].tobytes() == m.tobytes() and state.v["w"].tobytes() == v.tobytes()
+    assert np.array_equal(shared, start)  # the first parameter array was never written
 
 
 def test_loop_without_teacher_rejects_teacher_terms(corpus):

@@ -298,9 +298,10 @@ def test_full_transformer_gradient_vs_finite_differences():
 
 
 def test_toy_lm_loss_node_count(toy_config):
-    # Pins the graph size: one fused attention node per block, one matmul
-    # per weight product and one cross-entropy node on the unsliced logits.
+    # Pins the graph size: one fused attention node per block, one linear or
+    # matmul node per weight product and one cross-entropy node on the
+    # unsliced logits.
     m = build_model(toy_config, seed=0)
     with ad.Tape() as tape:
         lm_loss(m, np.zeros((2, 8), dtype=int))
-    assert len(tape.nodes) == 109
+    assert len(tape.nodes) == 92
