@@ -4,10 +4,11 @@ Just enough operator coverage for a decoder-only transformer: matmul,
 elementwise arithmetic, reductions, softmax / log-softmax, layer norm,
 embedding lookup, gather along the vocab axis, rotary position twiddles,
 cross-entropy over a prefix of the positions (next-token targets meet the
-full logits, unsliced) and fused :func:`causal_attention`, one
-node from scores to per-head output. Every weight product (a 2-D right
-operand, or a :func:`linear` weight stored ``[out, in]``) runs as one 2-D
-GEMM over the left operand's folded leading axes.
+full logits, unsliced), fused :func:`causal_attention`, one node from
+scores to per-head output, and the MLP's fused :func:`squared_relu_matmul`,
+which keeps ``relu(x)`` and recomputes its square. Every weight product (a
+2-D right operand, or a :func:`linear` weight stored ``[out, in]``) runs as
+one 2-D GEMM over the left operand's folded leading axes.
 Every probability comes from one kernel, :func:`_softmax_rows`, and every
 log-probability from one other, :func:`_log_softmax_rows`; the numpy-side
 teacher terms of distillation call them too. Both shift by :func:`_row_max`.
@@ -252,16 +253,12 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    """Elementwise product; also accepts a python scalar for either side."""
+    """Elementwise product; ``b`` may be a python scalar."""
     if isinstance(b, (int, float)):
-        c = b
-
         def fn_s(g):
-            return (g * c,)
+            return (g * b,)
 
-        return _make(a.data * c, (a,), fn_s)
-    if isinstance(a, (int, float)):
-        return mul(b, a)
+        return _make(a.data * b, (a,), fn_s)
 
     def fn(g):
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
@@ -304,16 +301,6 @@ def log(a: Tensor) -> Tensor:
 
     def fn(g):
         return (g / a.data,)
-
-    return _make(out, (a,), fn)
-
-
-def squared_relu(a: Tensor) -> Tensor:
-    r = np.maximum(a.data, 0)
-    out = r * r
-
-    def fn(g):
-        return (g * 2.0 * r,)
 
     return _make(out, (a,), fn)
 
@@ -416,6 +403,26 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
         return np.matmul(g2, wd).reshape(xd.shape), np.matmul(g2.T, xd.reshape(-1, k))
 
     return _make(out, (x, w), fn)
+
+
+def squared_relu_matmul(a: Tensor, w: Tensor) -> Tensor:
+    """``relu(a)² @ w`` for a ``[k, n]`` weight, as one node that keeps only
+    ``relu(a)`` and recomputes its square for the weight gradient. Values and
+    gradients equal squared ReLU then :func:`matmul`, bit for bit."""
+    wd = w.data
+    k, n = wd.shape
+    r = np.maximum(a.data, 0)
+    out = np.matmul((r * r).reshape(-1, k), wd).reshape(r.shape[:-1] + (n,))
+
+    def fn(g):
+        g2 = g.reshape(-1, n)
+        gw = np.matmul((r * r).reshape(-1, k).T, g2)
+        ga = np.matmul(g2, wd.T).reshape(r.shape)
+        ga *= 2.0
+        ga *= r
+        return ga, gw
+
+    return _make(out, (a, w), fn)
 
 
 # ---------------------------------------------------------------------------

@@ -359,6 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be an integer >= 0, got {args.seed}")
         return args.fn(args)
     except DivergenceError as e:
         dump = {"error": type(e).__name__, "message": str(e), "state": e.state_dump}

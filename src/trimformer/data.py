@@ -160,6 +160,8 @@ def synthetic_markov_text(n_docs: int, doc_len: int, seed: int) -> str:
     if not (_is_int(n_docs, 0) and _is_int(doc_len, 0)):
         raise DataError(f"corpus sizes must be integers >= 0, got n_docs={n_docs!r}, "
                         f"doc_len={doc_len!r}")
+    if not _is_int(seed, 0):
+        raise DataError(f"corpus seed must be an integer >= 0, got {seed!r}")
     alphabet, branching = string.ascii_lowercase, 4
     rng = np.random.default_rng(seed)
     k = len(alphabet)

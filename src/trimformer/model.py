@@ -6,20 +6,8 @@ the attention inner width is ``num_heads * d_head`` and never follows
 ``d_model``.
 
 Importance scoring and distillation read intermediate activations through
-one hook: ``forward(..., tap=fn)`` calls ``fn(site, layer, value)`` at each
-site below and keeps every non-None result under ``(site, layer)``. A tap
-adds no gradient state of its own. For ``L`` layers:
-
-- ``x`` (layers 0..L): block inputs; ``("x", 0)`` is the embedding output
-  and ``("x", L)`` the last block's output.
-- ``ln1`` (layers 0..L): first norm outputs; ``("ln1", L)`` is the final
-  norm, so block ``i``'s normalized output is always ``("ln1", i + 1)``.
-- ``ln2``, ``qkv``, ``attn``, ``mlp_pre`` (layers 0..L-1): the MLP input
-  norm, rotary ``(q, k, v)``, per-head attention output and MLP
-  pre-activation.
-
-``forward(..., start=(i, x))`` resumes a pass at block ``i`` on the block
-input ``x`` that an earlier pass's tap kept.
+one hook, ``forward(..., tap=fn)``, and a pass resumes at block ``i`` with
+``forward(..., start=(i, x))``; :func:`forward` lists the sites.
 """
 
 from __future__ import annotations
@@ -299,7 +287,7 @@ def forward(model: Model, tokens: np.ndarray, tap=None, start=None):
         emit("ln2", i, h2)
         pre = ad.linear(h2, model.layer_param(i, "mlp.w1"))
         emit("mlp_pre", i, pre)
-        x = ad.add(x, ad.matmul(ad.squared_relu(pre), model.layer_param(i, "mlp.w2")))
+        x = ad.add(x, ad.squared_relu_matmul(pre, model.layer_param(i, "mlp.w2")))
     emit("x", cfg.num_layers, x)
     x = ad.layer_norm(x, model.params["final_ln.gamma"], model.params["final_ln.beta"])
     emit("ln1", cfg.num_layers, x)

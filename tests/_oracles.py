@@ -60,6 +60,21 @@ def max_shift_log_softmax_rows(x):
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
+def squared_relu_then_matmul(a, w, g):
+    """``relu(a)² @ w`` and the gradients of ``sum(g * out)`` by ``a`` and
+    ``w``, as a squared-ReLU step and a separate folded 2-D product, in
+    ``a``'s dtype: the arithmetic the fused MLP node must reproduce byte
+    for byte."""
+    k, n = w.shape
+    r = np.maximum(a, 0)
+    sq = r * r
+    out = np.matmul(sq.reshape(-1, k), w).reshape(a.shape[:-1] + (n,))
+    g2 = g.reshape(-1, n)
+    g_sq = np.matmul(g2, w.T).reshape(a.shape)
+    g_w = np.matmul(sq.reshape(-1, k).T, g2)
+    return out, g_sq * 2.0 * r, g_w
+
+
 def agg_formula(name, values):
     values = [float(v) for v in values]
     n = len(values)

@@ -505,17 +505,37 @@ def test_fd_smooth_primitives():
     )
 
 
-def test_fd_squared_relu_away_from_kink():
+def test_fd_squared_relu_matmul_away_from_kink():
     rng = np.random.default_rng(6)
-    w = t64(rng.normal(size=(4, 4)) + 2.0, requires_grad=True)  # positive region
+    x = rng.normal(size=(2, 3, 4))
+    a = t64(np.sign(x) * (np.abs(x) + 0.1), requires_grad=True)  # both sides, off the kink
+    w = t64(rng.normal(size=(4, 5)), requires_grad=True)
+    weights = t64(rng.normal(size=(2, 3, 5)))
 
     def compute():
-        return ad.tsum(ad.squared_relu(ad.matmul(w, w)))
+        return ad.tsum(ad.mul(ad.squared_relu_matmul(a, w), weights))
 
     with Tape():
         loss = compute()
     ad.backward(loss)
-    oracle.check_fd(lambda: compute().item(), {"w": w}, h=1e-3, tol=1e-4)
+    oracle.check_fd(lambda: compute().item(), {"a": a, "w": w}, h=1e-3, tol=1e-4)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_squared_relu_matmul_is_bitwise_the_two_step_chain(dtype):
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(3, 5, 8)).astype(dtype)
+    x[0, 0, :3] = 0.0  # the kink itself
+    a = Tensor(x, requires_grad=True)
+    w = Tensor(rng.normal(size=(8, 6)).astype(dtype), requires_grad=True)
+    g = rng.normal(size=(3, 5, 6)).astype(dtype)
+    with Tape():
+        out = ad.squared_relu_matmul(a, w)
+        loss = ad.tsum(ad.mul(out, Tensor(g)))  # out's gradient is g exactly
+    ad.backward(loss)
+    want = oracle.squared_relu_then_matmul(x, w.data, g)
+    for got, ref in zip((out.data, a.grad, w.grad), want):
+        assert got.dtype == dtype and got.tobytes() == ref.tobytes()
 
 
 def test_fd_gather_logsumexp_rope():

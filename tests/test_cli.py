@@ -328,6 +328,18 @@ CASES = {
         "SearchError",
     ),
 }
+# The seed is checked once, before any command runs, so every command rejects
+# a negative one the same way.
+for _command, _argv in {
+    "train": "--config {d}/one_step.json --data {d}/corpus.txt --out {d}/o.ckpt",
+    "importance": "--ckpt {d}/model.ckpt --data {d}/corpus.txt --out {d}/r.json",
+    "prune": "--ckpt {d}/model.ckpt --target {d}/target.json --out {d}/o.ckpt",
+    "search": "--space {d}/space.json --budget 1000 --tolerance 0.1 --out {d}/c.json",
+    "distill": "--teacher {d}/model.ckpt --student {d}/model.ckpt --data {d}/corpus.txt "
+               "--out {d}/o.ckpt",
+    "eval": "--ckpt {d}/model.ckpt --data {d}/corpus.txt",
+}.items():
+    CASES[f"{_command}_negative_seed"] = (f"{_command} {_argv} --seed -1", "ConfigError")
 for _name in SPACE_EDITS:
     CASES[f"search_space_{_name}"] = (
         f"search --space {{d}}/space_{_name}.json --budget 1000 --tolerance 0.1 "

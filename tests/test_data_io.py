@@ -175,6 +175,12 @@ def test_markov_text_rejects_bad_sizes(n_docs, doc_len):
         synthetic_markov_text(n_docs, doc_len, 0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_markov_text_rejects_bad_seeds(seed):
+    with pytest.raises(DataError, match="corpus seed"):
+        synthetic_markov_text(2, 5, seed)
+
+
 # ---------------------------------------------------------------- sampling
 
 

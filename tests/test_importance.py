@@ -336,8 +336,8 @@ def test_report_ppl_sweep_block_count(n, chunks, include_bi, monkeypatch):
     # inputs: L + L(L-1)/2 blocks per chunk.
     num_layers = 4
     calls = []
-    real = ad.squared_relu
-    monkeypatch.setattr(ad, "squared_relu", lambda a: calls.append(1) or real(a))
+    real = ad.squared_relu_matmul
+    monkeypatch.setattr(ad, "squared_relu_matmul", lambda a, w: calls.append(1) or real(a, w))
     compute_importance_report(small_model(num_layers=num_layers), toks(n, 6),
                               include_bi=include_bi)
     assert len(calls) == chunks * (num_layers + num_layers * (num_layers - 1) // 2)
@@ -345,12 +345,12 @@ def test_report_ppl_sweep_block_count(n, chunks, include_bi, monkeypatch):
 
 @pytest.mark.parametrize("num_layers", [4, 5])
 def test_ppl_sweep_runs_each_prefix_of_blocks_once(num_layers, monkeypatch):
-    # Every evaluated block makes one squared_relu call: the plain pass runs
+    # Every evaluated block makes one squared_relu_matmul call: the plain pass runs
     # L blocks and the resumed pass without block i runs the L - 1 - i after
     # it, L + L(L-1)/2 in all (L(L-1) when each removal reruns its prefix).
     calls = []
-    real = ad.squared_relu
-    monkeypatch.setattr(ad, "squared_relu", lambda a: calls.append(1) or real(a))
+    real = ad.squared_relu_matmul
+    monkeypatch.setattr(ad, "squared_relu_matmul", lambda a, w: calls.append(1) or real(a, w))
     ppl_scores(small_model(num_layers=num_layers), toks(2, 6))
     assert len(calls) == num_layers + num_layers * (num_layers - 1) // 2
 

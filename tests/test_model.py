@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -298,10 +299,34 @@ def test_full_transformer_gradient_vs_finite_differences():
 
 
 def test_toy_lm_loss_node_count(toy_config):
-    # Pins the graph size: one fused attention node per block, one linear or
-    # matmul node per weight product and one cross-entropy node on the
-    # unsliced logits.
+    # Pins the graph size: one fused attention node and one fused MLP
+    # activation-and-product node per block, one linear or matmul node per
+    # other weight product and one cross-entropy node on the unsliced logits.
     m = build_model(toy_config, seed=0)
     with ad.Tape() as tape:
         lm_loss(m, np.zeros((2, 8), dtype=int))
-    assert len(tape.nodes) == 92
+    assert len(tape.nodes) == 88
+
+
+def test_tape_keeps_one_hidden_width_array_per_mlp_block():
+    # With d_hidden far wider than everything else, the MLP's saved arrays
+    # dominate what a taped forward keeps alive: relu(pre), once per block.
+    # Everything else (norms, attention, node objects) stays under half of
+    # one such array per block here; keeping relu(pre)² as well would double
+    # the MLP share.
+    cfg = small_config(num_layers=4, num_heads=2, num_query_groups=1, d_head=8,
+                       d_hidden=1024, vocab_size=32)
+    m = build_model(cfg, seed=0)
+    tokens = np.zeros((2, 16), dtype=int)
+    lm_loss(m, tokens)  # fills the rotary and mask caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with ad.Tape():
+            loss = lm_loss(m, tokens)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    hidden = tokens.size * cfg.d_hidden * m.dtype.itemsize
+    assert loss.requires_grad
+    assert cfg.num_layers * hidden <= kept < 1.5 * cfg.num_layers * hidden, kept

@@ -17,12 +17,18 @@ Layout: ``meta``; ``summary[workload][metric]`` with each side's median and
 quartiles, ``change_over_parent``, ``change_wins``, ``ties``, ``pairs`` and
 ``median_gap_exceeds_parent_iqr``; and ``runs[workload]``, one record per
 pair. Which direction is better comes from ``BENCHMARK.json``.
+
+Every run inherits this process's environment. ``meta["malloc_env"]``
+records its glibc ``MALLOC_*`` settings, which move ``peak_rss_mb``, so a
+sweep such as ``MALLOC_MMAP_THRESHOLD_=131072 python3 tools/bench_pairs.py
+...`` says what it ran under.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -124,6 +130,8 @@ def main(argv=None) -> int:
                          "ran the parent first, even seeds the change first",
                 "quartiles": "statistics.quantiles(n=4, method='inclusive') over one side's runs",
                 "wins": "ties count for neither side; 'better' per metric from BENCHMARK.json",
+                "malloc_env": {k: v for k, v in sorted(os.environ.items())
+                               if k.startswith("MALLOC_")},
             },
             "summary": {},
             "runs": {},
