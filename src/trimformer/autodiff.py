@@ -622,22 +622,23 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 
 def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
-    """Rotary position transform on ``[..., seq, dim]`` with half-split pairing.
+    """Rotary position transform with half-split pairing: ``x·cos +
+    swap(x)·sin``, where ``swap`` exchanges the halves of the last axis.
 
-    ``cos``/``sin`` are precomputed ``[seq, dim]`` tables; the map is linear
-    in ``x`` so the backward pass is its transpose.
+    ``cos``/``sin`` broadcast against ``x``, with the rotation's sign folded
+    into sin's first half (:meth:`Model.rope_tables`). The map is linear in
+    ``x``, so the backward pass is its transpose, ``g·cos + swap(g·sin)``.
     """
     half = x.data.shape[-1] // 2
-
-    def rot(v):
-        return np.concatenate((-v[..., half:], v[..., :half]), axis=-1)
-
-    out = x.data * cos + rot(x.data) * sin
+    swap = np.r_[half : 2 * half, :half]
+    out = x.data.take(swap, axis=-1)
+    out *= sin
+    out += x.data * cos
 
     def fn(g):
-        gs = g * sin
-        inv_rot = np.concatenate((gs[..., half:], -gs[..., :half]), axis=-1)
-        return (g * cos + inv_rot,)
+        dx = (g * sin).take(swap, axis=-1)
+        dx += g * cos
+        return (dx,)
 
     return _make(out, (x,), fn)
 

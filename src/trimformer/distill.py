@@ -337,12 +337,13 @@ class TrainState:
         return cosine_lr(self.step, self.total_steps, self.lr_max, self.lr_min)
 
     def adam_update(self, params: dict[str, Tensor]) -> None:
+        """One Adam step per parameter with a gradient, which it drops."""
         lr = self.lr()
         t = self.step + 1
         for name, p in params.items():
             if p.grad is None:
                 continue
-            g = p.grad
+            g, p.grad = p.grad, None
             if name not in self.m:
                 self.m[name] = np.zeros_like(p.data)
                 self.v[name] = np.zeros_like(p.data)
@@ -388,7 +389,9 @@ def distill_loop(
     """Train ``student`` on ``cfg``'s objective, against a frozen
     ``teacher`` when the config has teacher terms (``teacher`` may be None
     otherwise). Returns the trained student and its per-step metric
-    records."""
+    records. Gradients live only from ``backward`` to the update, and every
+    exit (a return or a :class:`DivergenceError`) drops them, so the
+    returned student carries weights only."""
     check_train_args(steps, batch_size, seq_len, lr_max, lr_min, eval_every)
     if teacher is None and cfg.needs_teacher:
         raise ConfigError("logit and intermediate losses need a teacher")
@@ -435,6 +438,8 @@ def distill_loop(
             if sink:
                 sink.write(json.dumps(entry) + "\n")
     finally:
+        for p in trainable.values():
+            p.grad = None
         if sink:
             sink.close()
     return student, metrics

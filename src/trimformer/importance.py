@@ -53,10 +53,10 @@ def _canon_agg(name: str) -> str:
 
 def _apply_agg(name: str, values: np.ndarray, axis: int) -> np.ndarray:
     if name == "mean_abs":
-        return np.abs(values).mean(axis=axis)
+        return np.abs(values).mean(axis=axis, dtype=np.float64)
     if name == "l2":
-        return np.sqrt((values * values).sum(axis=axis))
-    return values.var(axis=axis)
+        return np.sqrt(np.square(values, dtype=np.float64).sum(axis=axis))
+    return values.var(axis=axis, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -130,11 +130,12 @@ def _calibration_pass(
             return value if layer in blocks else None
         if site not in _WIDTH_SITES:
             return None
-        # astype keeps the memory order (head-major for "attn"), which fixes
-        # the summation order of the reductions below.
-        values = value.data.astype(np.float64)
+        # Reduced in float64 straight from the float32 activation, in its own
+        # memory order (head-major for "attn"), which fixes the summation
+        # order; the float64 results equal those of a float64 copy.
+        values = value.data
         if site == "attn":
-            values = np.sqrt((values**2).sum(axis=-1))  # [B,S,H]
+            values = np.sqrt(np.square(values, dtype=np.float64).sum(axis=-1))  # [B,S,H]
         return _apply_agg(spec.seq_fn, values, axis=1)
 
     n = calib.shape[0]

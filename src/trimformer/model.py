@@ -139,16 +139,19 @@ class Model:
         }
         return Model(self.config, params)
 
-    def rope_tables(self, seq_len: int):
-        key = seq_len
+    def rope_tables(self, seq_len: int, heads: int):
+        """Rotary ``(cos, sin)`` tables for :func:`autodiff.rope`, tiled to
+        ``[seq_len, heads, d_head]``; sin's first half is negated."""
+        key = (seq_len, heads)
         if key not in self._rope_cache:
             dh = self.config.d_head
-            half = dh // 2
-            inv_freq = ROPE_BASE ** (-np.arange(half) * 2.0 / dh)
-            angles = np.outer(np.arange(seq_len), inv_freq)
-            cos = np.concatenate((np.cos(angles), np.cos(angles)), axis=-1)
-            sin = np.concatenate((np.sin(angles), np.sin(angles)), axis=-1)
-            self._rope_cache[key] = (cos.astype(self.dtype), sin.astype(self.dtype))
+            inv_freq = ROPE_BASE ** (-np.arange(dh // 2) * 2.0 / dh)
+            angles = np.outer(np.arange(seq_len), inv_freq)[:, None, :]
+            cos, sin = np.cos(angles), np.sin(angles)
+            self._rope_cache[key] = tuple(
+                np.repeat(np.concatenate(t, axis=-1).astype(self.dtype), heads, axis=1)
+                for t in ((cos, cos), (-sin, sin))
+            )
         return self._rope_cache[key]
 
     def causal_mask(self, seq_len: int) -> np.ndarray:
@@ -205,16 +208,16 @@ def _attention(model: Model, x: Tensor, layer: int, emit):
     cfg = model.config
     b, s, _ = x.shape
     h, g, dh = cfg.num_heads, cfg.num_query_groups, cfg.d_head
-    cos, sin = model.rope_tables(s)
 
-    def project(w: Tensor, n_heads: int) -> Tensor:
-        y = ad.linear(x, w)
-        y = ad.reshape(y, (b, s, n_heads, dh))
+    def project(w: Tensor, n_heads: int, rotate: bool) -> Tensor:
+        y = ad.reshape(ad.linear(x, w), (b, s, n_heads, dh))
+        if rotate:
+            y = ad.rope(y, *model.rope_tables(s, n_heads))
         return ad.transpose(y, (0, 2, 1, 3))  # head-major
 
-    q = ad.rope(project(model.layer_param(layer, "attn.wq"), h), cos, sin)
-    k = ad.rope(project(model.layer_param(layer, "attn.wk"), g), cos, sin)
-    v = project(model.layer_param(layer, "attn.wv"), g)
+    q = project(model.layer_param(layer, "attn.wq"), h, True)
+    k = project(model.layer_param(layer, "attn.wk"), g, True)
+    v = project(model.layer_param(layer, "attn.wv"), g, False)
     emit("qkv", layer, (q, k, v))
     attn = ad.causal_attention(q, k, v, model.causal_mask(s))
     attn = ad.transpose(attn, (0, 2, 1, 3))  # back to [B,S,H,Dh]

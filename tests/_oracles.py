@@ -93,6 +93,48 @@ def aggregate_oracle(scores, batch_fn, seq_fn):
     return agg_formula(batch_fn, per_sample)
 
 
+def float64_copy_aggregate(name, values, axis):
+    """One importance aggregation reduced from a float64 copy of ``values``
+    (``astype`` keeps the memory order): the arithmetic the package's
+    float64-accumulating reductions must reproduce byte for byte."""
+    values = values.astype(np.float64)
+    if name == "mean_abs":
+        return np.abs(values).mean(axis=axis)
+    if name == "l2":
+        return np.sqrt((values * values).sum(axis=axis))
+    return values.var(axis=axis)
+
+
+def float64_copy_width_scores(acts, seq_fn, batch_fn):
+    """``{(site, layer): [C]}`` width scores of one calibration chunk from
+    its raw activations ``acts``, each reduced from a float64 copy: heads
+    take the per-token L2 over ``d_head`` first, then ``seq_fn`` collapses
+    the sequence and ``batch_fn`` the samples."""
+    out = {}
+    for key, value in acts.items():
+        values = value.astype(np.float64)
+        if key[0] == "attn":
+            values = np.sqrt((values**2).sum(axis=-1))
+        per_sample = float64_copy_aggregate(seq_fn, values, axis=1)
+        out[key] = float64_copy_aggregate(batch_fn, per_sample, axis=0)
+    return out
+
+
+def concat_rope(x, g, base=10000.0):
+    """Rotary transform of head-major ``x`` ``[B, H, S, d]`` and the gradient
+    ``g`` pulled back through it, with ``[S, d]`` tables in ``x``'s dtype and
+    the rotation written as negate-and-concatenate: the arithmetic the
+    package's rope must reproduce byte for byte."""
+    s, d = x.shape[-2:]
+    half = d // 2
+    angles = np.outer(np.arange(s), base ** (-np.arange(half) * 2.0 / d))
+    cos = np.concatenate((np.cos(angles), np.cos(angles)), axis=-1).astype(x.dtype)
+    sin = np.concatenate((np.sin(angles), np.sin(angles)), axis=-1).astype(x.dtype)
+    out = x * cos + np.concatenate((-x[..., half:], x[..., :half]), axis=-1) * sin
+    gs = g * sin
+    return out, g * cos + np.concatenate((gs[..., half:], -gs[..., :half]), axis=-1)
+
+
 def rope_rotate(vec, position, base=10000.0):
     """Half-split rotary transform of one head vector at one position."""
     d = len(vec)

@@ -26,7 +26,7 @@ from trimformer.distill import (
     total_loss,
 )
 from trimformer.errors import ConfigError, DataError, DivergenceError, ShapeError
-from trimformer.model import ModelConfig, build_model, forward, lm_loss
+from trimformer.model import ModelConfig, build_model, count_params, forward, lm_loss
 from trimformer.importance import compute_importance_report
 from trimformer.pruning import apply_candidate
 
@@ -519,6 +519,53 @@ def test_non_finite_gradient_aborts_before_the_update(corpus, monkeypatch):
     assert math.isfinite(err.value.state_dump["loss_total"])
     for k in before:
         assert np.array_equal(student.params[k].data, before[k])
+
+
+@pytest.mark.parametrize("diverge_at", [None, 0, 1])
+def test_loop_leaves_no_gradient_on_the_student(corpus, monkeypatch, diverge_at):
+    # Gradients live from backward to the update: neither the returned
+    # student nor one a DivergenceError leaves behind holds any.
+    teacher = build_model(small_config(vocab_size=257, max_seq_len=64), seed=15)
+    student = build_model(small_config(vocab_size=257, max_seq_len=64), seed=16)
+    real_backward, calls = ad.backward, []
+
+    def backward(loss):
+        real_backward(loss)
+        if len(calls) == diverge_at:
+            student.params["lm_head"].grad.flat[0] = np.nan
+        calls.append(loss)
+
+    monkeypatch.setattr(ad, "backward", backward)
+    cfg = DistillConfig(is_components=("emb",))
+    if diverge_at is None:
+        assert distill_loop(teacher, student, corpus, cfg, steps=3)[0] is student
+    else:
+        with pytest.raises(DivergenceError, match=f"at step {diverge_at}"):
+            distill_loop(teacher, student, corpus, cfg, steps=3)
+    assert [k for k, p in student.params.items() if p.grad is not None] == []
+
+
+def test_returned_student_retains_about_its_parameter_bytes(corpus):
+    # Traced memory left after the loop is the student it returns: its
+    # weights (the loop replaces every array it was built with), the
+    # metric records and the rotary and mask caches. Keeping the last
+    # step's gradients would add the parameter bytes a second time.
+    config = small_config(num_layers=2, d_model=64, num_heads=4, d_head=16, d_hidden=256,
+                          vocab_size=257, max_seq_len=64)
+    param_bytes = count_params(config).total * np.dtype(np.float32).itemsize
+    teacher = build_model(config, seed=15)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        student, metrics = distill_loop(
+            teacher, build_model(config, seed=16), corpus, DistillConfig(), steps=3
+        )
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(metrics) == 3
+    assert param_bytes <= retained < 1.25 * param_bytes, (retained, param_bytes)
 
 
 def test_backward_peak_stays_near_the_live_forward(corpus, monkeypatch):

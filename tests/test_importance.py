@@ -17,7 +17,7 @@ from trimformer.importance import (
     _cosine_rows,
     compute_importance_report,
 )
-from trimformer.model import ModelConfig, build_model, lm_loss
+from trimformer.model import ModelConfig, build_model, forward, lm_loss
 from trimformer.pruning import apply_candidate
 
 AGGS = ("mean_abs", "l2", "variance")
@@ -115,6 +115,45 @@ def test_aggregate_nonnegative_and_duplication(rng):
                 assert dup == pytest.approx(np.sqrt(2) * val)
             else:
                 assert dup == pytest.approx(val)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", AGGS)
+@pytest.mark.parametrize("shape,axes,axis", [
+    ((4, 9, 6), (0, 1, 2), 1), ((4, 9, 6), (0, 2, 1), 1), ((3, 64, 200), (0, 1, 2), 1),
+    ((2, 7, 5, 3), (0, 2, 1, 3), 1), ((33, 17), (0, 1), 0), ((17, 33), (1, 0), 0),
+])
+def test_aggregate_equals_the_float64_copy_bytes(shape, axes, axis, name, dtype):
+    # Contiguous and transposed (head-major) views, reduced over a middle
+    # and a leading axis, with float64 accumulation from the source dtype.
+    values = np.random.default_rng(1).normal(size=shape).astype(dtype).transpose(axes)
+    got = _apply_agg(name, values, axis)
+    assert got.dtype == np.float64
+    assert got.tobytes() == oracle.float64_copy_aggregate(name, values, axis).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch_fn,seq_fn", [("l2", "mean_abs"), ("mean_abs", "variance"),
+                                             ("variance", "l2")])
+def test_report_width_scores_equal_the_float64_copy_bytes(batch_fn, seq_fn, dtype):
+    # Every tap-reduced report field, against the taps' float64-copy
+    # formulation on the same activations (one chunk, so one forward).
+    m = small_model(seed=2, dtype=dtype, d_model=24, d_head=8, d_hidden=48, max_seq_len=32)
+    calib = toks(12, 32, seed=3)
+    got = report(m, calib, AggregationSpec(batch_fn, seq_fn))
+    _, acts = forward(m, calib, tap=lambda site, layer, value: value.data
+                      if site in ("attn", "mlp_pre", "ln1", "ln2") else None)
+    want = oracle.float64_copy_width_scores(acts, seq_fn, batch_fn)
+    layers = range(m.config.num_layers)
+    emb = np.zeros(m.config.d_model)
+    for key in [k for i in layers for k in (("ln1", i), ("ln2", i))] + [("ln1", len(layers))]:
+        emb += want[key]
+    for field, value in (
+        ("head_scores", np.stack([want[("attn", i)] for i in layers])),
+        ("neuron_scores", np.stack([want[("mlp_pre", i)] for i in layers])),
+        ("emb_scores", emb),
+    ):
+        assert getattr(got, field).tobytes() == value.tobytes(), field
 
 
 # ---------------------------------------------------------------- width axes

@@ -330,3 +330,26 @@ def test_tape_keeps_one_hidden_width_array_per_mlp_block():
     hidden = tokens.size * cfg.d_hidden * m.dtype.itemsize
     assert loss.requires_grad
     assert cfg.num_layers * hidden <= kept < 1.5 * cfg.num_layers * hidden, kept
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("heads,groups", [(4, 4), (8, 2)])
+def test_rope_on_the_projection_layout_is_bitwise_the_concat_form(dtype, heads, groups):
+    # The forward rotates the [B, S, heads, d_head] projection with tables
+    # tiled per head and sin's sign folded in; values and gradients equal the
+    # head-major negate-and-concatenate form, because (-a)·b == a·(-b).
+    m = build_model(small_config(num_heads=heads, num_query_groups=groups, d_head=8,
+                                 max_seq_len=32), seed=0, dtype=dtype)
+    rng = np.random.default_rng(5)
+    for n in (heads, groups):
+        x = ad.Tensor(rng.normal(size=(3, 32, n, 8)).astype(dtype), requires_grad=True)
+        g = rng.normal(size=(3, 32, n, 8)).astype(dtype)
+        with ad.Tape():
+            out = ad.rope(x, *m.rope_tables(32, n))
+            loss = ad.tsum(ad.mul(out, ad.Tensor(g)))  # out's gradient is g exactly
+        ad.backward(loss)
+        want_out, want_grad = oracle.concat_rope(x.data.transpose(0, 2, 1, 3),
+                                                 g.transpose(0, 2, 1, 3))
+        assert out.data.dtype == x.grad.dtype == dtype
+        assert out.data.transpose(0, 2, 1, 3).tobytes() == want_out.tobytes()
+        assert x.grad.transpose(0, 2, 1, 3).tobytes() == want_grad.tobytes()

@@ -1,20 +1,23 @@
 """Alternating parent/change runs of ``bench/run.py``, summarised as one JSON file.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --out BENCH_11.json
+    python3 tools/bench_pairs.py --parent HEAD~1 --out mmap.json --workload distill-small
 
 Both sides are exported with ``git archive`` into sibling directories of one
 temporary directory, ``parent/`` and ``change/`` (names of equal length), so
 neither runs from a different place than the other. The parent is the given
 revision; the change is this working tree's tracked files, uncommitted edits
 included (``git stash create``, or ``HEAD`` when the tree is clean);
-untracked files are left out. For each of ``bench/run.py``'s three workloads
+untracked files are left out. For each workload named by ``--workload``
+(repeatable; by default all three of ``bench/run.py``'s, in a fixed order)
 and each seed 1-10, both sides run ``bench/run.py --seconds 30 --trace 0`` in
 their own process, the parent first on odd seeds and the change first on even
 ones. The output file is rewritten after every pair, so an interrupted sweep
 keeps what it measured.
 
-Layout: ``meta``; ``summary[workload][metric]`` with each side's median and
-quartiles, ``change_over_parent``, ``change_wins``, ``ties``, ``pairs`` and
+Layout: ``meta``, whose ``workloads`` lists the workloads swept;
+``summary[workload][metric]`` with each side's median and quartiles,
+``change_over_parent``, ``change_wins``, ``ties``, ``pairs`` and
 ``median_gap_exceeds_parent_iqr``; and ``runs[workload]``, one record per
 pair. Which direction is better comes from ``BENCHMARK.json``.
 
@@ -46,7 +49,11 @@ def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True, help="git revision to compare against")
     p.add_argument("--out", required=True, type=Path)
-    return p.parse_args(argv)
+    p.add_argument("--workload", action="append", choices=WORKLOADS, dest="workloads",
+                   help="workload to sweep; repeat for several (default: all three)")
+    args = p.parse_args(argv)
+    args.workloads = [w for w in WORKLOADS if w in (args.workloads or WORKLOADS)]
+    return args
 
 
 def git(*args: str) -> str:
@@ -122,6 +129,7 @@ def main(argv=None) -> int:
         doc = {
             "meta": {
                 **shas,
+                "workloads": args.workloads,
                 "trees": "git archive exports in sibling directories parent/ and change/ "
                          "of one temporary directory",
                 "command": f"python3 bench/run.py --workload <w> --seed <n> --seconds "
@@ -136,7 +144,7 @@ def main(argv=None) -> int:
             "summary": {},
             "runs": {},
         }
-        for workload in WORKLOADS:
+        for workload in args.workloads:
             doc["runs"][workload] = []
             for seed in SEEDS:
                 order = ("parent", "change") if seed % 2 else ("change", "parent")
