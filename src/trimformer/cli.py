@@ -24,7 +24,9 @@ optional ``train`` and ``distill`` sections; ``space.json`` holds a
 (defaults: those of :func:`distill_loop`); each also has a flag
 (``--batch-size`` ...), and a flag given on the command line beats the
 config, which beats the default. ``train`` and ``distill`` run the same
-loop: ``train`` with the CLM-only objective and no teacher.
+loop: ``train`` with the CLM-only objective and no teacher. ``search
+--rank`` retrains each candidate under ``distill``'s default objective
+(:func:`distill.for_depths`), for ``--steps`` steps.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import sys
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import TokenDataset, ingest_text, sample_calibration
-from .distill import CLM_ONLY, DistillConfig, check_train_args, default_layer_map, distill_loop
+from .distill import CLM_ONLY, DistillConfig, check_train_args, distill_loop, for_depths
 from .errors import ConfigError, DivergenceError, TrimformerError
 from .importance import DEPTH_METRICS, AggregationSpec, ImportanceReport, compute_importance_report
 from .model import Model, ModelConfig, build_model, count_params, lm_loss
@@ -227,18 +229,10 @@ def cmd_distill(args) -> int:
     config = _load_json(args.config) if args.config else {}
     student = load_checkpoint(args.student)
 
-    distill_dict = dict(_section(config, "distill"))
-    cfg = DistillConfig.from_dict(distill_dict) if distill_dict else DistillConfig()
-    if ("is_components" not in distill_dict
-            and student.config.num_layers < 0.75 * teacher.config.num_layers):
-        # Depth cut by more than a quarter: add intermediate-state supervision.
-        cfg = DistillConfig.from_dict({
-            **cfg.to_dict(),
-            "is_components": ["emb", "o"],
-            "layer_map": [list(p) for p in default_layer_map(
-                teacher.config.num_layers, student.config.num_layers
-            )],
-        })
+    section = _section(config, "distill")
+    cfg = DistillConfig.from_dict(section)
+    if "is_components" not in section:  # an explicit list, even [], turns the rule off
+        cfg = for_depths(cfg, teacher.config.num_layers, student.config.num_layers)
     return _train(args, config, teacher, student, data, cfg, distill_config=cfg.to_dict())
 
 
@@ -326,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count-mode", dest="count_mode", default="total",
                    choices=("total", "non_embedding"))
     p.add_argument("--out", required=True)
-    p.add_argument("--rank", action="store_true")
+    p.add_argument("--rank", action="store_true",
+                   help="retrain each candidate under distill's default objective")
     p.add_argument("--ckpt", default=None)
     p.add_argument("--data", default=None)
     p.add_argument("--report", default=None)

@@ -11,6 +11,11 @@ training.
 There is one training loop, :func:`distill_loop`. Conventional training on
 the ground-truth LM loss is that loop with the CLM-only config
 :data:`CLM_ONLY` and no teacher (:func:`conventional_loop`).
+
+One rule, :func:`for_depths`, fits the objective to the depth cut for the
+final retraining and for the short runs that rank candidates alike: a
+student keeping fewer than 3/4 of the teacher's blocks also gets the ``emb``
+and ``o`` intermediate-state terms, unless its config names components.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import reduce
 
 import numpy as np
@@ -108,6 +113,16 @@ def default_layer_map(teacher_layers: int, student_layers: int) -> tuple[tuple[i
     """Map the block two before the last on both sides (the late layers are
     the most specialized, so earlier anchors transfer better)."""
     return ((max(teacher_layers - 3, 0), max(student_layers - 3, 0)),)
+
+
+def for_depths(cfg: DistillConfig, teacher_layers: int, student_layers: int) -> DistillConfig:
+    """``cfg`` plus the ``emb`` and ``o`` terms, at ``cfg.layer_map`` or else
+    :func:`default_layer_map`, when the student keeps fewer than 3/4 of the
+    teacher's blocks and ``cfg`` names no components; otherwise ``cfg``."""
+    if cfg.is_components or student_layers >= 0.75 * teacher_layers:
+        return cfg
+    return replace(cfg, is_components=("emb", "o"), layer_map=cfg.layer_map
+                   or default_layer_map(teacher_layers, student_layers))
 
 
 class SharedProjection:
@@ -386,9 +401,9 @@ def distill_loop(
     eval_every: int = 0,
     metrics_path: str | None = None,
 ):
-    """Train ``student`` on ``cfg``'s objective, against a frozen
+    """Train ``student`` in place on ``cfg``'s objective, against a frozen
     ``teacher`` when the config has teacher terms (``teacher`` may be None
-    otherwise). Returns the trained student and its per-step metric
+    otherwise). Returns that same student and its per-step metric
     records. Gradients live only from ``backward`` to the update, and every
     exit (a return or a :class:`DivergenceError`) drops them, so the
     returned student carries weights only."""

@@ -3,8 +3,8 @@
 Enumeration walks the Cartesian product of the discrete choices, snaps the
 MLP width to a multiple of 128, and keeps configurations whose parameter
 count sits within ``tolerance * budget`` of the budget. Ranking prunes the
-source model to each candidate, retrains every candidate identically for a
-short distillation run, and orders them by final evaluation loss; short
+source model to each candidate, retrains it briefly under the objective
+``distill`` would give it, and orders them by final evaluation loss; short
 retraining is what stabilizes the relative order.
 """
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .checkpoint import write_atomic
-from .distill import DistillConfig, distill_loop
+from .distill import DistillConfig, distill_loop, for_depths
 from .errors import DataError, SearchError
 from .importance import ImportanceReport
 from .model import Model, ModelConfig, _is_finite, _is_int, _is_number, count_params
@@ -199,17 +199,13 @@ def enumerate_candidates(
     """
     _check_target(budget, tolerance, count_mode)
     lo, hi = space.layer_range
-    seen = set()
     rows = []
     choices = itertools.product(range(lo, hi + 1), space.head_choices,
                                 space.embedding_choices, space.mlp_expansion_factors)
     try:
-        for layers, heads, emb, factor in choices:
-            mlp = snap_mlp_width(factor, emb)
-            key = (layers, heads, emb, mlp)
-            if key in seen:
-                continue
-            seen.add(key)
+        shapes = dict.fromkeys((layers, heads, emb, snap_mlp_width(factor, emb))
+                               for layers, heads, emb, factor in choices)  # distinct, in order
+        for layers, heads, emb, mlp in shapes:
             cfg = ModelConfig(
                 num_layers=layers,
                 d_model=emb,
@@ -254,7 +250,8 @@ def rank_candidates(
     batch_size: int = 8,
     seq_len: int = 32,
 ) -> CandidateSet:
-    """Prune to each candidate, retrain identically, order by final eval loss.
+    """Prune to each candidate, retrain it under ``distill_cfg`` as
+    :func:`distill.for_depths` adapts it, order by final eval loss.
 
     Candidates are processed in label order with a shared seed, so the
     ranking does not depend on the incoming list order. Each run is
@@ -265,17 +262,10 @@ def rank_candidates(
         raise SearchError("retrain_steps must be >= 1")
     ranked: list[Candidate] = []
     for cand in sorted(candidate_set.candidates, key=lambda c: c.label):
-        student = apply_candidate(model, cand.config, report)
+        cfg = for_depths(distill_cfg, model.config.num_layers, cand.config.num_layers)
         student, metrics = distill_loop(
-            model,
-            student,
-            data,
-            distill_cfg,
-            retrain_steps,
-            seed=seed,
-            batch_size=batch_size,
-            seq_len=seq_len,
-            eval_data=eval_tokens,
+            model, apply_candidate(model, cand.config, report), data, cfg, retrain_steps,
+            seed=seed, batch_size=batch_size, seq_len=seq_len, eval_data=eval_tokens,
             eval_every=max(1, retrain_steps // 10),
         )
         trajectory = [(m["step"], m["eval_loss"]) for m in metrics if "eval_loss" in m]

@@ -376,6 +376,19 @@ def test_metrics_flag_is_rejected_where_nothing_is_trained(argv, capsys):
     assert "unrecognized arguments: --metrics" in capsys.readouterr().err
 
 
+def _run_each(commands, capsys) -> list[dict]:
+    """Run each command line; each must exit 0 with one JSON line naming its
+    command and nothing on stderr. Returns those lines."""
+    lines = []
+    for argv in commands:
+        assert cli.main(argv.split()) == 0, argv
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 1 and err == "", (argv, out, err)
+        lines.append(json.loads(out))
+        assert lines[-1]["command"] == argv.split()[0]
+    return lines
+
+
 def test_pipeline_recipe_end_to_end(tmp_path, capsys):
     """train -> importance -> search --rank -> prune -> distill -> eval on a
     tiny model, two training steps per run."""
@@ -403,12 +416,7 @@ def test_pipeline_recipe_end_to_end(tmp_path, capsys):
         "--metrics {d}/distill.jsonl " + data,
         "eval --ckpt {d}/student.ckpt --samples 4 --seq-len 8 " + data,
     ]
-    for argv in commands:
-        assert cli.main(argv.format(d=d).split()) == 0, argv
-        out, err = capsys.readouterr()
-        lines = out.splitlines()
-        assert len(lines) == 1 and err == "", (argv, out, err)
-        assert json.loads(lines[0])["command"] == argv.split()[0]
+    _run_each([argv.format(d=d) for argv in commands], capsys)
 
     corpus = ingest_text(str(d / "corpus.txt"), seed=1)
     _, want = conventional_loop(build_model(ModelConfig(**model), seed=1), corpus, seed=1, **train)
@@ -430,6 +438,60 @@ def test_distill_from_a_zero_layer_teacher(workdir, tmp_path, capsys):
     line = json.loads(capsys.readouterr().out)
     assert line["distill_config"]["is_components"] == []
     assert load_checkpoint(str(tmp_path / "s.ckpt")).config.num_layers == 0
+
+
+@pytest.mark.parametrize("student, distill, components, layer_map", [
+    ({"num_layers": 1}, None, ["emb", "o"], [[0, 0]]),
+    ({"num_layers": 1}, {"is_components": []}, [], []),
+    ({"num_layers": 1}, {"layer_map": [[1, 0]]}, ["emb", "o"], [[1, 0]]),
+    ({"d_hidden": 16}, None, [], []),
+])
+def test_distill_adds_intermediate_terms_on_a_deep_cut(
+        student, distill, components, layer_map, workdir, tmp_path, capsys):
+    """A student keeping fewer than 3/4 of the teacher's 2 blocks gets the
+    emb/o terms at the config's layer_map or the default one, unless the
+    config names is_components; a width-only student does not."""
+    # Seeded apart from the teacher, so no mapped state starts equal to its own.
+    save_checkpoint(build_model(ModelConfig(**{**MODEL, **student}), seed=1),
+                    str(tmp_path / "student.ckpt"))
+    argv = (f"distill --teacher {workdir}/model.ckpt --student {tmp_path}/student.ckpt "
+            f"--data {workdir}/corpus.txt --out {tmp_path}/s.ckpt --metrics {tmp_path}/m.jsonl "
+            "--steps 2 --batch-size 2 --seq-len 8")
+    if distill is not None:
+        (tmp_path / "exp.json").write_text(json.dumps({"distill": distill}))
+        argv += f" --config {tmp_path}/exp.json"
+    assert cli.main(argv.split()) == 0
+    line = json.loads(capsys.readouterr().out)
+    assert line["distill_config"]["is_components"] == components
+    assert line["distill_config"]["layer_map"] == layer_map
+    metrics = [json.loads(m) for m in (tmp_path / "m.jsonl").read_text().splitlines()]
+    assert all((m["loss_is"] > 0) == bool(components) for m in metrics), metrics
+
+
+def test_chained_compression_through_the_cli(workdir, tmp_path, capsys):
+    """Compress twice, as the paper prunes 15B to 8B and 8B to 4B: the
+    second importance report and prune read an already-distilled model."""
+    d, w = tmp_path, workdir
+    (d / "width.json").write_text(json.dumps({**MODEL, "d_hidden": 16}))
+    (d / "depth.json").write_text(json.dumps({**MODEL, "d_hidden": 16, "num_layers": 1}))
+    small = "--steps 2 --batch-size 2 --seq-len 8"
+    commands = [
+        f"importance --ckpt {w}/model.ckpt --data {w}/corpus.txt --out {d}/r1.json "
+        "--samples 4 --seq-len 8",
+        f"prune --ckpt {w}/model.ckpt --report {d}/r1.json --target {d}/width.json "
+        f"--out {d}/p1.ckpt",
+        f"distill --teacher {w}/model.ckpt --student {d}/p1.ckpt --data {w}/corpus.txt "
+        f"--out {d}/s1.ckpt {small}",
+        f"importance --ckpt {d}/s1.ckpt --data {w}/corpus.txt --out {d}/r2.json "
+        "--samples 4 --seq-len 8",
+        f"prune --ckpt {d}/s1.ckpt --report {d}/r2.json --target {d}/depth.json "
+        f"--out {d}/p2.ckpt",
+        f"distill --teacher {d}/s1.ckpt --student {d}/p2.ckpt --data {w}/corpus.txt "
+        f"--out {d}/s2.ckpt {small}",
+    ]
+    assert _run_each(commands, capsys)[-1]["distill_config"]["is_components"] == ["emb", "o"]
+    assert load_checkpoint(str(d / "s2.ckpt")).config == ModelConfig(**json.loads(
+        (d / "depth.json").read_text()))
 
 
 def test_eval_runs_one_forward(workdir, capsys, monkeypatch):

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trimformer.distill import DistillConfig
+from trimformer.distill import DistillConfig, distill_loop, for_depths
 from trimformer.errors import DataError, SearchError
 from trimformer.importance import compute_importance_report
 from trimformer.model import ModelConfig, build_model, count_params
+from trimformer.pruning import apply_candidate
 from trimformer.search import (
     COUNT_MODES,
+    Candidate,
     CandidateSet,
     SearchSpace,
     enumerate_candidates,
@@ -191,3 +193,32 @@ def test_rank_candidates_ignores_input_order(corpus):
 
     forward = list(enumerated.candidates)
     assert rank(forward) == rank(forward[::-1])
+
+
+def test_rank_candidates_retrains_each_candidate_as_distill_would(corpus):
+    """Ranking under the default objective gives a depth-cut candidate the
+    emb/o terms that ``distill`` would, and a width-only one plain KLD: each
+    trajectory is, float for float, that of the run ``prune`` + ``distill``
+    would make with as many steps."""
+    cfg = ModelConfig(4, 32, 4, 2, 8, 128, 257, max_seq_len=32)
+    teacher = build_model(cfg, seed=0)
+    report = compute_importance_report(teacher, np.random.default_rng(0).integers(0, 257, (4, 16)))
+    eval_tokens = np.random.default_rng(1).integers(0, 257, size=(4, 16))
+    depth_cut, width_only = cfg.with_(num_layers=2), cfg.with_(d_hidden=64)
+    space = SearchSpace(layer_range=(2, 4), head_choices=(4,), mlp_expansion_factors=(2.0,),
+                        embedding_choices=(32,), d_head=8, vocab_size=257, num_query_groups=2)
+    candidates = [Candidate(c, *count_params(c), label) for c, label in
+                  ((depth_cut, "depth"), (width_only, "width"))]
+    steps, loop = 3, dict(seed=3, batch_size=2, seq_len=16)
+    ranked = rank_candidates(teacher, CandidateSet(space, 1e5, 0.5, "total", candidates), steps,
+                             DistillConfig(), eval_tokens, corpus, report, **loop)
+
+    assert sorted(c.label for c in ranked.candidates) == ["depth", "width"]
+    deep = for_depths(DistillConfig(), 4, 2)
+    assert (deep.is_components, deep.layer_map) == (("emb", "o"), ((1, 0),))
+    want = {"depth": (depth_cut, deep), "width": (width_only, DistillConfig())}
+    for cand in ranked.candidates:
+        target, distill_cfg = want[cand.label]
+        _, metrics = distill_loop(teacher, apply_candidate(teacher, target, report), corpus,
+                                  distill_cfg, steps, eval_data=eval_tokens, eval_every=1, **loop)
+        assert cand.eval_trajectory == [(m["step"], m["eval_loss"]) for m in metrics]
