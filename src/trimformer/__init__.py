@@ -13,6 +13,7 @@ from .distill import (
     distill_loop,
     intermediate_loss,
     logit_loss,
+    teacher_targets,
     total_loss,
 )
 from .errors import (

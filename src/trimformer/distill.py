@@ -5,8 +5,8 @@ cosine learning-rate decay.
 The total objective is ``L_CLM + L_logits + alpha * L_is`` where alpha is
 either a constant or the per-step ratio L_logits / L_is, treated as a plain
 number (never differentiated through); a config sums only the terms it
-enables. The teacher runs outside the tape and its weights are untouched by
-training.
+enables. The teacher's side is :func:`teacher_targets`, constant arrays
+computed outside the tape; the other functions hold the student's terms.
 
 There is one training loop, :func:`distill_loop`. Conventional training on
 the ground-truth LM loss is that loop with the CLM-only config
@@ -139,39 +139,25 @@ class SharedProjection:
         return ad.matmul(states, self.matrix)
 
 
-def logit_loss(teacher_logits: np.ndarray, student_logits: Tensor, cfg: DistillConfig) -> Tensor:
-    """Per-token divergence between the temperature-softened distributions
-    of constant teacher logits and the student's, averaged over batch and
-    sequence.
-
-    ``top_k`` restricts both sides to the teacher's top-k token ids
-    (renormalized); ``top_k >= vocab`` is exactly the unrestricted loss.
-    """
-    if teacher_logits.shape != tuple(student_logits.shape):
+def logit_loss(targets: dict, student_logits: Tensor, cfg: DistillConfig) -> Tensor:
+    """Per-token divergence from the teacher's softened distribution in
+    ``targets`` (:func:`teacher_targets`) to the student's, restricted to
+    the teacher's top-k ids when it has them, averaged over batch and
+    sequence."""
+    if targets["shape"] != tuple(student_logits.shape):
         raise ShapeError(
-            f"teacher logits {teacher_logits.shape} vs student {tuple(student_logits.shape)}"
+            f"teacher logits {targets['shape']} vs student {tuple(student_logits.shape)}"
         )
     tau = cfg.temperature
-    vocab = teacher_logits.shape[-1]
-    t_scaled = teacher_logits / tau
     s_scaled = ad.mul(student_logits, 1.0 / tau) if tau != 1.0 else student_logits
-
-    if cfg.top_k is not None and cfg.top_k < vocab:
-        k = cfg.top_k
-        idx = np.argpartition(-t_scaled, k - 1, axis=-1)[..., :k]
-        idx = np.sort(idx, axis=-1)  # deterministic id order
-        t_scaled = np.take_along_axis(t_scaled, idx, axis=-1)
-        s_scaled = ad.gather_last(s_scaled, idx)
-
-    t_logp = _log_softmax_rows(t_scaled)
-    t_prob = np.exp(t_logp)
-
+    if targets["ids"] is not None:
+        s_scaled = ad.gather_last(s_scaled, targets["ids"])
+    t_logp, t_prob, rows = targets["logp"], targets["prob"], targets["rows"]
     if cfg.logit_loss == "kld":
         # sum_v p_t (log p_t - log p_s); the cross term is fused so that
         # matching distributions yield exactly-zero gradients.
-        entropy = (t_prob * t_logp).sum(axis=-1)
         cross = ad.soft_cross_entropy(s_scaled, t_prob)
-        return ad.mean(ad.add(Tensor._wrap(entropy), cross))
+        return ad.mean(ad.add(Tensor._wrap(rows), cross))
 
     s_logp = ad.log_softmax(s_scaled)
     s_prob = ad.exp(s_logp)
@@ -182,51 +168,38 @@ def logit_loss(teacher_logits: np.ndarray, student_logits: Tensor, cfg: DistillC
         diff = ad.sub(s_prob, Tensor._wrap(t_prob))
         return ad.mean(ad.mean(ad.mul(diff, diff), axis=-1))
     if cfg.logit_loss == "cosine":
-        return ad.mean(_one_minus_cosine(t_prob, s_prob))
+        return ad.mean(_one_minus_cosine(t_prob, rows, s_prob))
     raise ConfigError(f"no logit loss selected ({cfg.logit_loss!r})")
 
 
-def _one_minus_cosine(ref: np.ndarray, live: Tensor) -> Tensor:
-    """1 - cos(ref, live) along the last axis; ref is a constant."""
+def _one_minus_cosine(ref: np.ndarray, ref_norm: np.ndarray, live: Tensor) -> Tensor:
+    """1 - cos(ref, live) along the last axis; ref and its norms are constants."""
     dot = ad.tsum(ad.mul(Tensor._wrap(ref), live), axis=-1)
     live_norm = ad.pow_const(ad.tsum(ad.mul(live, live), axis=-1), 0.5)
-    ref_norm = np.linalg.norm(ref, axis=-1)
-    denom = ad.mul(live_norm, Tensor._wrap(ref_norm.astype(ref.dtype)))
-    return ad.sub(Tensor._wrap(np.ones_like(ref_norm, dtype=ref.dtype)), ad.div(dot, denom))
+    denom = ad.mul(live_norm, Tensor._wrap(ref_norm))
+    return ad.sub(Tensor._wrap(np.ones_like(ref_norm)), ad.div(dot, denom))
 
 
-def _state_loss(teacher_state: np.ndarray, student_state: Tensor, loss_fn: str) -> Tensor:
+def _state_loss(teacher_state: np.ndarray, norm, student_state: Tensor, loss_fn: str) -> Tensor:
     if teacher_state.shape != tuple(student_state.shape):
         raise ShapeError(
             f"mapped states disagree after projection: teacher "
             f"{teacher_state.shape} vs student {tuple(student_state.shape)}"
         )
     if loss_fn == "cosine":
-        return ad.mean(_one_minus_cosine(teacher_state, student_state))
+        return ad.mean(_one_minus_cosine(teacher_state, norm, student_state))
     diff = ad.sub(student_state, Tensor._wrap(teacher_state))
     return ad.mean(ad.mul(diff, diff))
 
 
-def _relation_kld(teacher_states: np.ndarray, student_states, d_head: int) -> Tensor:
-    """Row-wise KL between head-averaged self-relation maps
-    softmax(A A^T / sqrt(d_head)). Head counts may differ across models."""
-    scale = 1.0 / math.sqrt(d_head)
-    t = teacher_states.astype(np.float64)
-    t_scores = np.matmul(t, t.swapaxes(-1, -2)) * scale
-    t_rel = _softmax_rows(t_scores).mean(axis=1)  # [B,S,S]
-    t_rel = t_rel.astype(teacher_states.dtype)
-
-    s_scores = ad.mul(
-        ad.matmul(student_states, ad.transpose(student_states, (0, 1, 3, 2))), scale
-    )
+def _relation_kld(t_rel: np.ndarray, t_entropy: np.ndarray, s: Tensor, d_head: int) -> Tensor:
+    """Row-wise KL from the teacher's relation map ``t_rel`` (its rows'
+    ``sum p log p`` is ``t_entropy``) to the student's, the head-averaged
+    softmax(A A^T / sqrt(d_head)) of ``s``. Head counts may differ."""
+    s_scores = ad.mul(ad.matmul(s, ad.transpose(s, (0, 1, 3, 2))), 1.0 / math.sqrt(d_head))
     s_rel = ad.mean(ad.softmax(s_scores), axis=1)  # [B,S,S]
-    s_logrel = ad.log(s_rel)
-    t_logrel = np.log(t_rel)
-    kld = ad.sub(
-        Tensor._wrap((t_rel * t_logrel).sum(axis=-1)),
-        ad.tsum(ad.mul(Tensor._wrap(t_rel), s_logrel), axis=-1),
-    )
-    return ad.mean(kld)
+    cross = ad.tsum(ad.mul(Tensor._wrap(t_rel), ad.log(s_rel)), axis=-1)
+    return ad.mean(ad.sub(Tensor._wrap(t_entropy), cross))
 
 
 def _mapped_sites(cfg: DistillConfig, col: int) -> list[tuple[str, tuple[str, int]]]:
@@ -245,25 +218,22 @@ def _mapped_sites(cfg: DistillConfig, col: int) -> list[tuple[str, tuple[str, in
     return sites
 
 
-def intermediate_loss(
-    teacher_acts: dict, student_acts: dict, projection: SharedProjection,
-    cfg: DistillConfig, d_head: int,
-) -> Tensor:
-    """Sum of the chosen component losses over all mapped layer pairs, at
-    the sites of :func:`_mapped_sites`. att compares self-relation maps with
-    row-wise KL regardless of ``is_loss_fn``."""
+def intermediate_loss(teacher_states: list, student_acts: dict, projection: SharedProjection,
+                      cfg: DistillConfig, d_head: int) -> Tensor:
+    """Sum of the chosen component losses over all mapped layer pairs: the
+    student's states at :func:`_mapped_sites` against the ``states`` of
+    :func:`teacher_targets`; att is row-wise KL whatever ``is_loss_fn``."""
     mapped = [c for c in ("o", "i", "att") if c in cfg.is_components]
     if mapped and not cfg.layer_map:
         raise ConfigError(f"components {mapped} need a teacher:student layer_map")
     terms: list[Tensor] = []
-    for (comp, t_key), (_, s_key) in zip(_mapped_sites(cfg, 0), _mapped_sites(cfg, 1)):
-        if t_key not in teacher_acts or s_key not in student_acts:
+    for target, (comp, key) in zip(teacher_states, _mapped_sites(cfg, 1), strict=True):
+        if key not in student_acts:
             raise DataError(f"capture missing states for component {comp!r}")
-        t_state, s_state = teacher_acts[t_key], student_acts[s_key]
         if comp == "att":
-            terms += [_relation_kld(t.data, s, d_head) for t, s in zip(t_state, s_state)]
+            terms += [_relation_kld(*t, s, d_head) for t, s in zip(target, student_acts[key])]
         else:
-            terms.append(_state_loss(t_state.data, projection.apply(s_state), cfg.is_loss_fn))
+            terms.append(_state_loss(*target, projection.apply(student_acts[key]), cfg.is_loss_fn))
     if not terms:
         raise ConfigError("intermediate_loss called with no components selected")
     return reduce(ad.add, terms)
@@ -277,24 +247,65 @@ def _capture_for(cfg: DistillConfig, col: int):
     return lambda site, layer, value: value if (site, layer) in wanted else None
 
 
+def teacher_targets(teacher: Model, batch: np.ndarray, cfg: DistillConfig) -> dict | None:
+    """The teacher's side of ``cfg``'s objective on ``batch`` as numpy
+    arrays (None without teacher terms), the only code that runs the
+    teacher. No student enters it, so one value serves every student.
+
+    A logit term reads the teacher logits' ``shape``, the sorted top-k
+    ``ids`` (None when ``top_k`` keeps the vocabulary), the softened
+    ``logp`` and ``prob`` over them, and ``rows``: per row ``sum p log p``
+    for kld, the norm of ``prob`` for cosine. ``states`` holds, per teacher
+    :func:`_mapped_sites` entry, the state and its row norms (cosine) or
+    None; for att, one ``(map, sum p log p)`` pair each for q, k and v."""
+    if not cfg.needs_teacher:
+        return None
+    with ad.no_grad():
+        logits, acts = forward(teacher, batch, tap=_capture_for(cfg, 0))
+    norms = lambda x: np.linalg.norm(x, axis=-1).astype(x.dtype)  # what cosine reads of x
+    targets: dict = {"shape": logits.shape, "states": []}
+    if cfg.logit_loss is not None:
+        scaled, k, ids = logits.data / cfg.temperature, cfg.top_k, None
+        if k is not None and k < scaled.shape[-1]:
+            ids = np.sort(np.argpartition(-scaled, k - 1, axis=-1)[..., :k], axis=-1)
+            scaled = np.take_along_axis(scaled, ids, axis=-1)
+        logp = _log_softmax_rows(scaled)
+        prob = np.exp(logp)
+        rows = (prob * logp).sum(axis=-1) if cfg.logit_loss == "kld" else (
+            norms(prob) if cfg.logit_loss == "cosine" else None)
+        targets.update(ids=ids, logp=logp, prob=prob, rows=rows)
+    for comp, key in _mapped_sites(cfg, 0):
+        if key not in acts:
+            raise DataError(f"capture missing states for component {comp!r}")
+        if comp != "att":
+            state = acts[key].data
+            targets["states"].append((state, norms(state) if cfg.is_loss_fn == "cosine" else None))
+            continue
+        maps, scale = [], 1.0 / math.sqrt(teacher.config.d_head)
+        for t in acts[key]:  # head-averaged softmax(A A^T / sqrt(d_head)), [B,S,S]
+            t64 = t.data.astype(np.float64)
+            rel = _softmax_rows(np.matmul(t64, t64.swapaxes(-1, -2)) * scale).mean(axis=1)
+            rel = rel.astype(t.dtype)
+            maps.append((rel, (rel * np.log(rel)).sum(axis=-1)))
+        targets["states"].append(tuple(maps))
+    return targets
+
+
 def total_loss(
     batch: np.ndarray,
-    teacher: Model | None,
+    targets: dict | None,
     student: Model,
     cfg: DistillConfig,
     projection: SharedProjection | None = None,
 ):
-    """One training objective evaluation.
+    """One training objective evaluation: the student's terms against
+    ``targets``, the :func:`teacher_targets` of ``batch`` and ``cfg``.
 
     Returns ``(loss, components)`` where components holds plain floats for
     logging, 0.0 for a term the config leaves out. Dynamic alpha is
-    computed from this step's values and treated as a constant. ``teacher``
-    is only read when the config has teacher terms.
+    computed from this step's values and treated as a constant, and is 0
+    when ``L_is`` is at most the student dtype's epsilon (rounding noise).
     """
-    t_logits = t_acts = None
-    if cfg.needs_teacher:
-        with ad.no_grad():
-            t_logits, t_acts = forward(teacher, batch, tap=_capture_for(cfg, 0))
     s_logits, s_acts = forward(student, batch, tap=_capture_for(cfg, 1))
 
     components = dict.fromkeys(
@@ -305,16 +316,16 @@ def total_loss(
         terms.append(ad.cross_entropy(s_logits, batch[:, 1:]))
         components["loss_clm"] = terms[-1].item()
     if cfg.logit_loss is not None:
-        terms.append(logit_loss(t_logits.data, s_logits, cfg))
+        terms.append(logit_loss(targets, s_logits, cfg))
         components["loss_logits"] = terms[-1].item()
     if cfg.is_components:
         if projection is None:
             raise ConfigError("intermediate components need a SharedProjection")
-        l_is = intermediate_loss(t_acts, s_acts, projection, cfg, student.config.d_head)
+        l_is = intermediate_loss(targets["states"], s_acts, projection, cfg, student.config.d_head)
         if cfg.alpha_mode == "constant":
             alpha = cfg.alpha_const
-        elif l_is.item() == 0.0:
-            warnings.warn("L_is is zero; dynamic alpha forced to 0 this step")
+        elif l_is.item() <= np.finfo(student.dtype).eps:
+            warnings.warn("L_is is not above epsilon; dynamic alpha forced to 0 this step")
             alpha = 0.0
         else:
             alpha = components["loss_logits"] / l_is.item()
@@ -426,8 +437,9 @@ def distill_loop(
             batch = sample_batch(data, rng, batch_size, seq_len)
             for p in trainable.values():
                 p.grad = None
+            targets = teacher_targets(teacher, batch, cfg)
             with ad.Tape():
-                loss, components = total_loss(batch, teacher, student, cfg, projection)
+                loss, components = total_loss(batch, targets, student, cfg, projection)
             lr = state.lr()
             if not math.isfinite(components["loss_total"]):
                 raise DivergenceError(

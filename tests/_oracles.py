@@ -243,3 +243,123 @@ def check_fd(loss_fn, params, h=1e-5, tol=1e-4):
             worst, worst_name = err, name
     assert worst < tol, f"gradient mismatch at {worst_name}: rel err {worst:.3e}"
     return worst
+
+
+def teacher_in_loss_total_loss(batch, teacher, student, cfg, projection=None):
+    """The distillation objective written as one function that runs the
+    teacher itself, as ``distill.total_loss`` did before the teacher's side
+    moved into ``distill.teacher_targets``: a ``no_grad`` teacher forward,
+    then each term computing its teacher half inline. Returns ``(loss,
+    components)`` like ``total_loss``; dynamic alpha is 0 when ``L_is`` is
+    at most the student dtype's epsilon.
+
+    Only the autodiff ops and the forward pass come from the package, since
+    the reference must build the same graph to give the same gradients.
+    """
+    from functools import reduce
+
+    from trimformer import autodiff as ad
+    from trimformer.autodiff import Tensor
+    from trimformer.errors import ShapeError
+    from trimformer.model import forward
+
+    def sites(col):
+        comps = cfg.is_components
+        out = [("emb", ("x", 0))] if "emb" in comps else []
+        for pair in cfg.layer_map:
+            i = pair[col]
+            for comp, key in (("o", ("ln1", i + 1)), ("i", ("ln2", i)), ("att", ("qkv", i))):
+                if comp in comps:
+                    out.append((comp, key))
+        return out
+
+    def tap(col):
+        wanted = {key for _, key in sites(col)}
+        return lambda site, layer, value: value if (site, layer) in wanted else None
+
+    def one_minus_cosine(ref, live):
+        dot = ad.tsum(ad.mul(Tensor._wrap(ref), live), axis=-1)
+        live_norm = ad.pow_const(ad.tsum(ad.mul(live, live), axis=-1), 0.5)
+        ref_norm = np.linalg.norm(ref, axis=-1)
+        denom = ad.mul(live_norm, Tensor._wrap(ref_norm.astype(ref.dtype)))
+        return ad.sub(Tensor._wrap(np.ones_like(ref_norm, dtype=ref.dtype)), ad.div(dot, denom))
+
+    with ad.no_grad():
+        t_logits, t_acts = forward(teacher, batch, tap=tap(0))
+    s_logits, s_acts = forward(student, batch, tap=tap(1))
+    comps = dict.fromkeys(("loss_clm", "loss_logits", "loss_is", "alpha", "alpha_times_is"), 0.0)
+    terms = []
+    if cfg.use_clm:
+        terms.append(ad.cross_entropy(s_logits, batch[:, 1:]))
+        comps["loss_clm"] = terms[-1].item()
+
+    if cfg.logit_loss is not None:
+        t = t_logits.data
+        if t.shape != tuple(s_logits.shape):
+            raise ShapeError(f"teacher logits {t.shape} vs student {tuple(s_logits.shape)}")
+        tau = cfg.temperature
+        t_scaled = t / tau
+        s_scaled = ad.mul(s_logits, 1.0 / tau) if tau != 1.0 else s_logits
+        if cfg.top_k is not None and cfg.top_k < t.shape[-1]:
+            k = cfg.top_k
+            idx = np.sort(np.argpartition(-t_scaled, k - 1, axis=-1)[..., :k], axis=-1)
+            t_scaled = np.take_along_axis(t_scaled, idx, axis=-1)
+            s_scaled = ad.gather_last(s_scaled, idx)
+        t_logp = max_shift_log_softmax_rows(t_scaled)
+        t_prob = np.exp(t_logp)
+        if cfg.logit_loss == "kld":
+            entropy = (t_prob * t_logp).sum(axis=-1)
+            term = ad.mean(ad.add(Tensor._wrap(entropy), ad.soft_cross_entropy(s_scaled, t_prob)))
+        else:
+            s_logp = ad.log_softmax(s_scaled)
+            s_prob = ad.exp(s_logp)
+            if cfg.logit_loss == "rkld":
+                gap = ad.sub(s_logp, Tensor._wrap(t_logp))
+                term = ad.mean(ad.tsum(ad.mul(s_prob, gap), axis=-1))
+            elif cfg.logit_loss == "mse":
+                diff = ad.sub(s_prob, Tensor._wrap(t_prob))
+                term = ad.mean(ad.mean(ad.mul(diff, diff), axis=-1))
+            else:
+                term = ad.mean(one_minus_cosine(t_prob, s_prob))
+        terms.append(term)
+        comps["loss_logits"] = term.item()
+
+    if cfg.is_components:
+        is_terms = []
+        scale = 1.0 / math.sqrt(student.config.d_head)
+        for (comp, t_key), (_, s_key) in zip(sites(0), sites(1)):
+            if comp == "att":
+                for t_state, s_state in zip(t_acts[t_key], s_acts[s_key]):
+                    t = t_state.data.astype(np.float64)
+                    t_scores = np.matmul(t, t.swapaxes(-1, -2)) * scale
+                    t_rel = max_shift_softmax_rows(t_scores).mean(axis=1)
+                    t_rel = t_rel.astype(t_state.dtype)
+                    s_t = ad.transpose(s_state, (0, 1, 3, 2))
+                    s_scores = ad.mul(ad.matmul(s_state, s_t), scale)
+                    s_rel = ad.mean(ad.softmax(s_scores), axis=1)
+                    cross = ad.tsum(ad.mul(Tensor._wrap(t_rel), ad.log(s_rel)), axis=-1)
+                    entropy = (t_rel * np.log(t_rel)).sum(axis=-1)
+                    is_terms.append(ad.mean(ad.sub(Tensor._wrap(entropy), cross)))
+                continue
+            t_state = t_acts[t_key].data
+            s_state = projection.apply(s_acts[s_key])
+            if t_state.shape != tuple(s_state.shape):
+                raise ShapeError(f"teacher {t_state.shape} vs student {tuple(s_state.shape)}")
+            if cfg.is_loss_fn == "cosine":
+                is_terms.append(ad.mean(one_minus_cosine(t_state, s_state)))
+            else:
+                diff = ad.sub(s_state, Tensor._wrap(t_state))
+                is_terms.append(ad.mean(ad.mul(diff, diff)))
+        l_is = reduce(ad.add, is_terms)
+        if cfg.alpha_mode == "constant":
+            alpha = cfg.alpha_const
+        elif l_is.item() <= np.finfo(student.dtype).eps:
+            alpha = 0.0
+        else:
+            alpha = comps["loss_logits"] / l_is.item()
+        terms.append(ad.mul(l_is, float(alpha)))
+        comps.update(loss_is=l_is.item(), alpha=alpha, alpha_times_is=alpha * l_is.item())
+
+    loss = reduce(ad.add, terms)
+    comps["loss_total"] = loss.item()
+    return loss, comps

@@ -8,12 +8,15 @@ import pytest
 
 import _oracles as oracle
 from trimformer import autodiff as ad
+from trimformer import distill
 from trimformer.autodiff import Tape, Tensor
 from trimformer.data import sample_batch
 from trimformer.distill import (
     ADAM_EPS,
     BETA1,
     BETA2,
+    CLM_ONLY,
+    LOGIT_LOSSES,
     DistillConfig,
     SharedProjection,
     TrainState,
@@ -21,8 +24,10 @@ from trimformer.distill import (
     cosine_lr,
     default_layer_map,
     distill_loop,
+    for_depths,
     intermediate_loss,
     logit_loss,
+    teacher_targets,
     total_loss,
 )
 from trimformer.errors import ConfigError, DataError, DivergenceError, ShapeError
@@ -44,6 +49,14 @@ def t64(a):
     return Tensor(np.asarray(a, dtype=np.float64))
 
 
+def stand_in_targets(cfg, logits=np.zeros((1, 1, 2)), acts=None):
+    """:func:`teacher_targets` of a stand-in teacher whose forward returns
+    ``logits`` and the activations ``acts``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(distill, "forward", lambda *args, **kw: (Tensor(logits), acts or {}))
+        return teacher_targets(None, None, cfg)
+
+
 # ---------------------------------------------------------------- logit loss
 
 
@@ -51,7 +64,7 @@ def t64(a):
 def test_logit_loss_zero_when_equal(loss_name, rng):
     logits = rng.normal(size=(2, 3, 9))
     cfg = DistillConfig(logit_loss=loss_name)
-    val = logit_loss(logits, t64(logits), cfg).item()
+    val = logit_loss(stand_in_targets(cfg, logits), t64(logits), cfg).item()
     assert abs(val) < 1e-9
 
 
@@ -67,7 +80,7 @@ def test_identical_logits_give_exactly_zero_divergence(dtype, top_k, temperature
         s = Tensor(logits.copy(), requires_grad=True)
         cfg = DistillConfig(logit_loss=name, temperature=temperature, top_k=top_k)
         with Tape():
-            loss = logit_loss(logits, s, cfg)
+            loss = logit_loss(stand_in_targets(cfg, logits), s, cfg)
         assert loss.item() == 0.0
         ad.backward(loss)
         if name != "rkld":
@@ -79,7 +92,8 @@ def test_kld_closed_form():
     t = np.log(np.array([[[0.5, 0.5]]]))
     s = np.log(np.array([[[0.25, 0.75]]]))
     want = 0.5 * math.log(2.0) + 0.5 * math.log(2.0 / 3.0)
-    got = logit_loss(t, t64(s), DistillConfig(logit_loss="kld")).item()
+    cfg = DistillConfig(logit_loss="kld")
+    got = logit_loss(stand_in_targets(cfg, t), t64(s), cfg).item()
     assert got == pytest.approx(want, rel=1e-9)
     assert got == pytest.approx(0.143841, abs=1e-6)
 
@@ -89,24 +103,25 @@ def test_kld_rkld_nonnegative(rng):
         t = rng.normal(size=(1, 2, 6)) * 3
         s = rng.normal(size=(1, 2, 6)) * 3
         for name in ("kld", "rkld"):
-            val = logit_loss(t, t64(s), DistillConfig(logit_loss=name)).item()
+            cfg = DistillConfig(logit_loss=name)
+            val = logit_loss(stand_in_targets(cfg, t), t64(s), cfg).item()
             assert val >= -1e-12
 
 
 def test_top_k_full_vocab_is_exactly_identity(rng):
     t = rng.normal(size=(2, 3, 9))
     s = rng.normal(size=(2, 3, 9))
-    a = logit_loss(t, t64(s), DistillConfig(logit_loss="kld")).item()
-    b = logit_loss(t, t64(s), DistillConfig(logit_loss="kld", top_k=9)).item()
+    full, top9 = DistillConfig(logit_loss="kld"), DistillConfig(logit_loss="kld", top_k=9)
+    a = logit_loss(stand_in_targets(full, t), t64(s), full).item()
+    b = logit_loss(stand_in_targets(top9, t), t64(s), top9).item()
     assert a == b  # bitwise: the restriction path is skipped entirely
 
 
 def test_top_k_matches_hand_renormalization():
     t_logits = np.array([[[3.0, 2.0, 0.0, -1.0, -2.0]]])
     s_logits = np.array([[[1.0, 0.5, 2.0, 0.0, -3.0]]])
-    got = logit_loss(
-        t_logits, t64(s_logits), DistillConfig(logit_loss="kld", top_k=2)
-    ).item()
+    cfg = DistillConfig(logit_loss="kld", top_k=2)
+    got = logit_loss(stand_in_targets(cfg, t_logits), t64(s_logits), cfg).item()
     # teacher's top-2 ids are 0 and 1; renormalize both distributions there
     pt = oracle.naive_softmax(t_logits[0, 0])[:2]
     pt = pt / pt.sum()
@@ -117,8 +132,9 @@ def test_top_k_matches_hand_renormalization():
 
 
 def test_logit_loss_shape_mismatch():
+    targets = stand_in_targets(DistillConfig(), np.zeros((1, 2, 5)))
     with pytest.raises(ShapeError):
-        logit_loss(np.zeros((1, 2, 5)), t64(np.zeros((1, 2, 6))), DistillConfig())
+        logit_loss(targets, t64(np.zeros((1, 2, 6))), DistillConfig())
 
 
 def test_logit_loss_gradient_matches_fd(rng):
@@ -126,12 +142,13 @@ def test_logit_loss_gradient_matches_fd(rng):
     for name in ("kld", "rkld", "mse", "cosine"):
         for top_k in (None, 3):
             cfg = DistillConfig(logit_loss=name, top_k=top_k, temperature=1.7)
+            targets = stand_in_targets(cfg, t)
             s = Tensor(rng.normal(size=(2, 3, 7)), requires_grad=True)
             with Tape():
-                loss = logit_loss(t, s, cfg)
+                loss = logit_loss(targets, s, cfg)
             ad.backward(loss)
             oracle.check_fd(
-                lambda: logit_loss(t, s, cfg).item(), {"s": s}, h=1e-5, tol=1e-4
+                lambda: logit_loss(targets, s, cfg).item(), {"s": s}, h=1e-5, tol=1e-4
             )
 
 
@@ -153,7 +170,6 @@ def capture_all(model, toks):
 def test_intermediate_zero_for_identical_models(rng):
     m = build_model(small_config(), seed=0, dtype=np.float64)
     toks = rng.integers(0, 19, size=(2, 6))
-    rec_t = capture_all(m, toks)
     rec_s = capture_all(m, toks)
     proj = SharedProjection(16, 16, dtype=np.float64)
     for loss_fn in ("cosine", "mse"):
@@ -162,7 +178,8 @@ def test_intermediate_zero_for_identical_models(rng):
             layer_map=((1, 1),),
             is_loss_fn=loss_fn,
         )
-        val = intermediate_loss(rec_t, rec_s, proj, cfg, d_head=4).item()
+        states = teacher_targets(m, toks, cfg)["states"]
+        val = intermediate_loss(states, rec_s, proj, cfg, d_head=4).item()
         assert abs(val) < 1e-12
 
 
@@ -180,13 +197,15 @@ def test_intermediate_cosine_scale_invariance(rng):
     rec_s = capture_all(m2, toks)
     proj = SharedProjection(16, 16, dtype=np.float64)
     cfg = DistillConfig(is_components=("o",), layer_map=((0, 0),), is_loss_fn="cosine")
-    base = intermediate_loss(rec_t, rec_s, proj, cfg, d_head=4).item()
+    states = stand_in_targets(cfg, acts=rec_t)["states"]
+    base = intermediate_loss(states, rec_s, proj, cfg, d_head=4).item()
 
     scaled_t = capture_all(m, toks)
     scaled_t[("ln1", 1)] = Tensor(scaled_t[("ln1", 1)].data * 7.5)
     scaled_s = capture_all(m2, toks)
     scaled_s[("ln1", 1)] = Tensor(scaled_s[("ln1", 1)].data * 3.25)
-    val = intermediate_loss(scaled_t, scaled_s, proj, cfg, d_head=4).item()
+    states = stand_in_targets(cfg, acts=scaled_t)["states"]
+    val = intermediate_loss(states, scaled_s, proj, cfg, d_head=4).item()
     assert val == pytest.approx(base, rel=1e-9)
 
 
@@ -198,7 +217,8 @@ def test_intermediate_single_pair_matches_recompute(rng):
     rec_s = capture_all(student, toks)
     proj = SharedProjection(8, 16, dtype=np.float64)
     cfg = DistillConfig(is_components=("o",), layer_map=((0, 0),), is_loss_fn="cosine")
-    got = intermediate_loss(rec_t, rec_s, proj, cfg, d_head=4).item()
+    states = teacher_targets(teacher, toks, cfg)["states"]
+    got = intermediate_loss(states, rec_s, proj, cfg, d_head=4).item()
     # straight-line: the layer-0 output state is the next block's first norm
     t_state = rec_t[("ln1", 1)].data
     s_state = rec_s[("ln1", 1)].data @ proj.matrix.data
@@ -217,21 +237,24 @@ def test_intermediate_requires_layer_map():
     proj = SharedProjection(16, 16)
     cfg = DistillConfig(is_components=("o",))
     with pytest.raises(ConfigError):
-        intermediate_loss(rec, rec, proj, cfg, d_head=4)
+        intermediate_loss(teacher_targets(m, toks, cfg)["states"], rec, proj, cfg, d_head=4)
 
 
 def test_intermediate_layer_map_past_last_block():
     m = build_model(small_config(), seed=5)
-    acts = capture_all(m, np.zeros((1, 4), dtype=int))
+    toks = np.zeros((1, 4), dtype=int)
+    acts = capture_all(m, toks)
     proj = SharedProjection(16, 16)
+
+    def loss(layer_map):
+        cfg = DistillConfig(is_components=("o",), layer_map=layer_map)
+        return intermediate_loss(teacher_targets(m, toks, cfg)["states"], acts, proj, cfg, 4)
+
     # Block 1 is the last: its output is the final norm, ("ln1", 2).
-    assert intermediate_loss(
-        acts, acts, proj, DistillConfig(is_components=("o",), layer_map=((1, 1),)), d_head=4
-    ).item() == pytest.approx(0.0, abs=1e-6)
-    with pytest.raises(DataError):
-        intermediate_loss(
-            acts, acts, proj, DistillConfig(is_components=("o",), layer_map=((2, 2),)), d_head=4
-        )
+    assert loss(((1, 1),)).item() == pytest.approx(0.0, abs=1e-6)
+    for past in (((2, 2),), ((2, 1),), ((1, 2),)):  # teacher, student or both
+        with pytest.raises(DataError):
+            loss(past)
 
 
 def test_intermediate_dimension_mismatch():
@@ -242,8 +265,9 @@ def test_intermediate_dimension_mismatch():
     rec_s = capture_all(student, toks)
     wrong = SharedProjection(8, 12)  # teacher is 16 wide
     cfg = DistillConfig(is_components=("emb",))
+    states = stand_in_targets(cfg, acts=rec_t)["states"]
     with pytest.raises(ShapeError):
-        intermediate_loss(rec_t, rec_s, wrong, cfg, d_head=4)
+        intermediate_loss(states, rec_s, wrong, cfg, d_head=4)
 
 
 def test_default_layer_map():
@@ -279,7 +303,8 @@ def test_total_loss_components_sum(rng):
     teacher, student = make_pair()
     proj = SharedProjection(8, 16, dtype=np.float64)
     batch = rng.integers(0, 19, size=(2, 6))
-    loss, comps = total_loss(batch, teacher, student, full_cfg(), proj)
+    targets = teacher_targets(teacher, batch, full_cfg())
+    loss, comps = total_loss(batch, targets, student, full_cfg(), proj)
     want = comps["loss_clm"] + comps["loss_logits"] + comps["alpha"] * comps["loss_is"]
     assert loss.item() == pytest.approx(want, rel=1e-12)
     assert abs(comps["alpha_times_is"] - comps["loss_logits"]) <= 1e-9
@@ -288,7 +313,8 @@ def test_total_loss_components_sum(rng):
 def test_total_loss_logits_only(rng):
     teacher, student = make_pair(seed=2)
     batch = rng.integers(0, 19, size=(2, 6))
-    loss, comps = total_loss(batch, teacher, student, DistillConfig())
+    targets = teacher_targets(teacher, batch, DistillConfig())
+    loss, comps = total_loss(batch, targets, student, DistillConfig())
     assert comps["loss_clm"] == 0.0 and comps["loss_is"] == 0.0
     assert loss.item() == comps["loss_logits"]
 
@@ -298,7 +324,7 @@ def test_total_loss_constant_alpha(rng):
     proj = SharedProjection(8, 16, dtype=np.float64)
     batch = rng.integers(0, 19, size=(2, 6))
     cfg = full_cfg(alpha_mode="constant", alpha_const=0.37)
-    _, comps = total_loss(batch, teacher, student, cfg, proj)
+    _, comps = total_loss(batch, teacher_targets(teacher, batch, cfg), student, cfg, proj)
     assert comps["alpha"] == 0.37
 
 
@@ -310,7 +336,7 @@ def test_total_loss_zero_is_warns_and_zeroes_alpha(rng):
     cfg = full_cfg(is_loss_fn="mse", is_components=("i",), use_clm=False)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        _, comps = total_loss(batch, m, m, cfg, proj)
+        _, comps = total_loss(batch, teacher_targets(m, batch, cfg), m, cfg, proj)
     assert comps["loss_is"] == 0.0 and comps["alpha"] == 0.0
     assert any("alpha" in str(w.message) for w in caught)
 
@@ -321,11 +347,12 @@ def test_total_loss_gradient_matches_fd(rng):
     teacher, student = make_pair(seed=5)
     proj = SharedProjection(8, 16, dtype=np.float64)
     batch = rng.integers(0, 19, size=(1, 5))
-    _, comps = total_loss(batch, teacher, student, full_cfg(), proj)
+    targets = teacher_targets(teacher, batch, full_cfg())
+    _, comps = total_loss(batch, targets, student, full_cfg(), proj)
     pinned = full_cfg(alpha_mode="constant", alpha_const=comps["alpha"])
 
     def compute():
-        loss, _ = total_loss(batch, teacher, student, pinned, proj)
+        loss, _ = total_loss(batch, targets, student, pinned, proj)
         return loss
 
     with Tape():
@@ -334,6 +361,142 @@ def test_total_loss_gradient_matches_fd(rng):
     params = dict(student.trainable())
     params["projection"] = proj.matrix
     oracle.check_fd(lambda: compute().item(), params, h=1e-5, tol=1e-4)
+
+
+def test_dynamic_alpha_is_zero_on_rounding_noise():
+    """A 1-block student built at a 2-block teacher's seed maps the
+    teacher's emb and o states up to float32 rounding, so L_is is noise of
+    either sign; dividing L_logits by it gave alpha from about -8.5e5 to
+    +4.1e5 here."""
+    config = small_config(vocab_size=257)  # the tests/test_cli.py model
+    teacher = build_model(config, seed=0)
+    student = build_model(config.with_(num_layers=1), seed=0)
+    cfg = for_depths(DistillConfig(), 2, 1)
+    proj = SharedProjection(16, 16)
+    rng = np.random.default_rng(0)
+    noise = []
+    for _ in range(6):
+        batch = rng.integers(0, 257, size=(2, 8))
+        with pytest.warns(UserWarning, match="alpha"):
+            _, comps = total_loss(batch, teacher_targets(teacher, batch, cfg), student, cfg, proj)
+        assert comps["alpha"] == 0.0 and comps["alpha_times_is"] == 0.0
+        noise.append(comps["loss_is"])
+    assert max(map(abs, noise)) <= np.finfo(np.float32).eps
+    assert min(noise) < 0 < max(noise)
+
+
+# ---------------------------------------------------------------- teacher targets
+
+
+def loss_and_grads(compute, params):
+    """Loss bytes, components and every parameter's gradient bytes of one
+    evaluation of ``compute``."""
+    for p in params.values():
+        p.grad = None
+    with Tape():
+        loss, comps = compute()
+    ad.backward(loss)
+    grads = {k: None if p.grad is None else p.grad.tobytes() for k, p in params.items()}
+    return loss.data.tobytes(), comps, grads
+
+
+COMPONENTS = {
+    "none": {},
+    "emb_o": {"is_components": ("emb", "o")},
+    "all_with_att": {"is_components": ("emb", "o", "i", "att"), "is_loss_fn": "mse"},
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("components", list(COMPONENTS))
+@pytest.mark.parametrize("temperature", [1.0, 1.7])
+@pytest.mark.parametrize("top_k", [None, 3, 19])  # 19 is the vocabulary
+@pytest.mark.parametrize("loss_name", LOGIT_LOSSES)
+def test_total_loss_equals_the_teacher_in_loss_reference(
+    loss_name, top_k, temperature, components, dtype, rng
+):
+    teacher = build_model(small_config(), seed=0, dtype=dtype)
+    student = build_model(  # a width and a depth cut at once
+        small_config(num_layers=1, d_model=8, num_heads=2, d_hidden=16), seed=1, dtype=dtype
+    )
+    cfg = DistillConfig(
+        logit_loss=loss_name, top_k=top_k, temperature=temperature, use_clm=True,
+        layer_map=((1, 0),), **COMPONENTS[components],
+    )
+    proj = SharedProjection(8, 16, dtype=dtype)
+    params = {**student.trainable(), "projection": proj.matrix}
+    batch = rng.integers(0, 19, size=(2, 6))
+    want = loss_and_grads(
+        lambda: oracle.teacher_in_loss_total_loss(batch, teacher, student, cfg, proj), params
+    )
+    got = loss_and_grads(
+        lambda: total_loss(batch, teacher_targets(teacher, batch, cfg), student, cfg, proj), params
+    )
+    assert got == want
+
+
+@pytest.mark.parametrize("top_k", [None, 3])
+def test_vocab_mismatch_raises_shape_error_as_the_reference_does(top_k):
+    teacher = build_model(small_config(), seed=0)
+    student = build_model(small_config(vocab_size=20), seed=1)
+    cfg = DistillConfig(top_k=top_k)
+    batch = np.zeros((1, 4), dtype=int)
+    with pytest.raises(ShapeError):
+        oracle.teacher_in_loss_total_loss(batch, teacher, student, cfg)
+    with pytest.raises(ShapeError):
+        total_loss(batch, teacher_targets(teacher, batch, cfg), student, cfg)
+
+
+def leaves(value) -> list:
+    """Every leaf of a targets value, arrays as bytes, in a fixed order."""
+    if isinstance(value, dict):
+        return [leaf for key in sorted(value) for leaf in leaves(value[key])]
+    if isinstance(value, (list, tuple)):
+        return [leaf for item in value for leaf in leaves(item)]
+    assert value is None or isinstance(value, (int, np.ndarray)), type(value)
+    return [value.tobytes() if isinstance(value, np.ndarray) else value]
+
+
+def test_one_targets_value_serves_a_width_and_a_depth_cut(corpus, monkeypatch):
+    """The teacher's side depends on no student: one value, computed under
+    the depth cut's objective, gives a width cut and a depth cut the loss,
+    gradients and Adam update that fresh targets give, and no step writes
+    to it."""
+    config = small_config(vocab_size=257, max_seq_len=64)
+    teacher = build_model(config, seed=20)
+    students = [build_model(config.with_(d_model=8, num_heads=2, d_hidden=16), seed=21),
+                build_model(config.with_(num_layers=1), seed=22)]
+    cfgs = [for_depths(DistillConfig(top_k=5), 2, s.config.num_layers) for s in students]
+    assert [c.is_components for c in cfgs] == [(), ("emb", "o")]
+    batch = sample_batch(corpus, np.random.default_rng(0), 4, 16)
+    shared = teacher_targets(teacher, batch, cfgs[1])
+    before = leaves(shared)
+    assert teacher_targets(teacher, batch, CLM_ONLY) is None
+
+    def step(student, targets, cfg):
+        student = student.copy()
+        params = dict(student.trainable())
+        proj = SharedProjection(student.config.d_model, 16) if cfg.is_components else None
+        if proj:
+            params["projection"] = proj.matrix
+        got = loss_and_grads(lambda: total_loss(batch, targets, student, cfg, proj), params)
+        TrainState(total_steps=2, lr_max=1e-3, lr_min=1e-5).adam_update(params)
+        return got, {k: p.data.tobytes() for k, p in params.items()}
+
+    for student, cfg in zip(students, cfgs):
+        fresh = teacher_targets(teacher, batch, cfg)
+        assert step(student, shared, cfg) == step(student, fresh, cfg)
+    assert leaves(shared) == before
+
+    real_forward, calls = distill.forward, []
+
+    def forward(model, *args, **kw):
+        calls.append("teacher" if model is teacher else "student")
+        return real_forward(model, *args, **kw)
+
+    monkeypatch.setattr(distill, "forward", forward)
+    distill_loop(teacher, students[1], corpus, cfgs[1], steps=3, batch_size=4, seq_len=16)
+    assert calls == ["teacher", "student"] * 3
 
 
 # ---------------------------------------------------------------- schedules

@@ -192,7 +192,10 @@ def test_rank_candidates_ignores_input_order(corpus):
         return [(c.label, c.eval_loss, c.eval_trajectory) for c in ranked.candidates]
 
     forward = list(enumerated.candidates)
-    assert rank(forward) == rank(forward[::-1])
+    # The depth-only cut maps its block 0, an unchanged copy of the
+    # teacher's, so its first L_is is rounding noise and alpha is set to 0.
+    with pytest.warns(UserWarning, match="dynamic alpha forced to 0"):
+        assert rank(forward) == rank(forward[::-1])
 
 
 def test_rank_candidates_retrains_each_candidate_as_distill_would(corpus):
