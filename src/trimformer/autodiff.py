@@ -1,7 +1,8 @@
 """Dense tensors with taped reverse-mode differentiation.
 
 Just enough operator coverage for a decoder-only transformer: matmul,
-elementwise arithmetic, reductions, softmax / log-softmax, layer norm,
+elementwise arithmetic (two operands of one shape, or a python scalar
+factor), reductions, softmax / log-softmax, layer norm,
 embedding lookup, gather along the vocab axis, rotary position twiddles,
 cross-entropy over a prefix of the positions (next-token targets meet the
 full logits, unsliced), fused :func:`causal_attention`, one node from
@@ -212,70 +213,55 @@ def _make(out_data, inputs, fn) -> Tensor:
     return out
 
 
-def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    if g.shape == tuple(shape):
-        return g
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def _same_shape(op: str, a: Tensor, b: Tensor) -> None:
+    if a.shape != b.shape:
+        raise ShapeError(f"{op} needs operands of one shape, got {a.shape} and {b.shape}")
 
 
 # ---------------------------------------------------------------------------
-# arithmetic
+# arithmetic: elementwise over two tensors of one shape
 
 
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out, sa, sb = a.data + b.data, a.shape, b.shape
-
-    def fn(g):
-        return _unbroadcast(g, sa), _unbroadcast(g, sb)
-
-    return _make(out, (a, b), fn)
-
-
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out, sa, sb = a.data - b.data, a.shape, b.shape
+def add(a: Tensor, b: Tensor) -> Tensor:
+    _same_shape("add", a, b)
 
     def fn(g):
-        return _unbroadcast(g, sa), _unbroadcast(-g, sb)
+        return g, g
 
-    return _make(out, (a, b), fn)
+    return _make(a.data + b.data, (a, b), fn)
 
 
-def mul(a, b) -> Tensor:
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    _same_shape("sub", a, b)
+
+    def fn(g):
+        return g, -g
+
+    return _make(a.data - b.data, (a, b), fn)
+
+
+def mul(a: Tensor, b) -> Tensor:
     """Elementwise product; ``b`` may be a python scalar."""
     if isinstance(b, (int, float)):
         def fn_s(g):
             return (g * b,)
 
         return _make(a.data * b, (a,), fn_s)
+    _same_shape("mul", a, b)
 
     def fn(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return g * b.data, g * a.data
 
     return _make(a.data * b.data, (a, b), fn)
 
 
-def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data / b.data
+def div(a: Tensor, b: Tensor) -> Tensor:
+    _same_shape("div", a, b)
 
     def fn(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-        return ga, gb
+        return g / b.data, -g * a.data / (b.data * b.data)
 
-    return _make(out, (a, b), fn)
+    return _make(a.data / b.data, (a, b), fn)
 
 
 def pow_const(a: Tensor, p: float) -> Tensor:

@@ -3,7 +3,9 @@
 Every command takes JSON config files plus flag overrides, runs seeded and
 deterministic, writes artifacts atomically, and exits 0 on success. A
 failure raises a typed ``TrimformerError`` (or ``OSError``), printed as one
-JSON error line on stderr, and exits 1.
+JSON error line on stderr, and exits 1. A warning is printed as one JSON line
+per distinct message on stderr, ``{"warning": "UserWarning", "message": ...}``,
+and leaves the exit code as it is.
 
 ``train`` and ``distill`` stream metrics to ``--metrics`` as JSON lines (one
 record per step); ``eval`` prints one batch's ``lm_loss`` and its perplexity,
@@ -36,6 +38,7 @@ import inspect
 import json
 import math
 import sys
+import warnings
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import TokenDataset, ingest_text, sample_calibration
@@ -353,6 +356,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = _run(args)
+    for category, message in dict.fromkeys((w.category.__name__, str(w.message)) for w in caught):
+        print(json.dumps({"warning": category, "message": message}), file=sys.stderr)
+    return code
+
+
+def _run(args) -> int:
     try:
         if args.seed < 0:
             raise ConfigError(f"--seed must be an integer >= 0, got {args.seed}")

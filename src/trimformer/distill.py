@@ -47,7 +47,8 @@ class DistillConfig:
     ``logit_loss=None`` disables the logit term (conventional training sets
     this and ``use_clm=True``: :data:`CLM_ONLY`). ``layer_map`` pairs are
     (teacher_layer, student_layer) block indices for the mapped
-    intermediate components.
+    intermediate components, which a config naming ``o``, ``i`` or ``att``
+    must give.
     """
 
     logit_loss: str | None = "kld"
@@ -83,6 +84,9 @@ class DistillConfig:
                 raise ConfigError(f"{name} must be {want}, got {getattr(self, name)!r}")
         if not self.use_clm and self.logit_loss is None and not self.is_components:
             raise ConfigError("config enables no loss terms")
+        mapped = [c for c in ("o", "i", "att") if c in self.is_components]
+        if mapped and not self.layer_map:
+            raise ConfigError(f"components {mapped} need a teacher:student layer_map")
         object.__setattr__(self, "is_components", tuple(self.is_components))
         object.__setattr__(
             self, "layer_map", tuple((int(t), int(s)) for t, s in self.layer_map)
@@ -223,9 +227,6 @@ def intermediate_loss(teacher_states: list, student_acts: dict, projection: Shar
     """Sum of the chosen component losses over all mapped layer pairs: the
     student's states at :func:`_mapped_sites` against the ``states`` of
     :func:`teacher_targets`; att is row-wise KL whatever ``is_loss_fn``."""
-    mapped = [c for c in ("o", "i", "att") if c in cfg.is_components]
-    if mapped and not cfg.layer_map:
-        raise ConfigError(f"components {mapped} need a teacher:student layer_map")
     terms: list[Tensor] = []
     for target, (comp, key) in zip(teacher_states, _mapped_sites(cfg, 1), strict=True):
         if key not in student_acts:

@@ -6,10 +6,12 @@ chunked forward pass over the calibration set scores every width axis
 every depth criterion: block influence (BI, one minus the expected
 input/output cosine similarity of a block), the BI of any contiguous run of
 blocks, and the perplexity of the model with each single block removed. Each
-removal resumes from the chunk's own block input, so a chunk runs one forward
-plus ``L`` resumed ones, and no block input outlives its chunk. No API here
-ever records onto a gradient tape — callers inside a tape context get an
-error.
+removal resumes from the chunk's own block input, so a chunk of at most 32
+samples runs one forward plus ``L`` resumed ones (``L + L(L-1)/2`` blocks),
+and no block input outlives its chunk. Width activations are reduced in
+float64 as they are produced; the removal NLLs are the chunks' mean NLLs
+weighted by their share of the samples. No API here ever records onto a
+gradient tape — callers inside a tape context get an error.
 
 Per-head and per-neuron scores are ranked within their own layer; embedding
 channel scores are aggregated per LayerNorm site and then summed across all
@@ -94,89 +96,12 @@ def _cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return num / np.maximum(den, np.finfo(np.float64).tiny)
 
 
-# The width sites every calibration pass reduces, and the samples per chunk.
-_WIDTH_SITES = frozenset(("attn", "mlp_pre", "ln1", "ln2"))
+# Calibration samples per chunk of the importance pass.
 _CHUNK = 32
-
-
-def _calibration_pass(
-    model: Model, calib: np.ndarray, spec: AggregationSpec, pairs, ppl: bool
-) -> dict:
-    """One chunked forward pass over the calibration set; returns its scores.
-
-    Each width site is reduced as it is produced to per-sample ``[B, C]``
-    sequence aggregates under ``spec.seq_fn`` (heads first take the
-    per-token L2 over ``d_head``); after the last chunk ``spec.batch_fn``
-    collapses the samples, giving ``{(site, layer): [C]}``. Block inputs are
-    held raw only within a chunk, for the per-token cosines behind the block
-    influence ``{("bi", a, b): 1 - E[cos(X_a, X_b)]}`` of each pair in
-    ``pairs`` and, with ``ppl``, for the removal sweep: the model without
-    block ``i`` resumes at block ``i + 1`` on the chunk's ``X_i``, so a chunk
-    runs ``L + L(L-1)/2`` blocks. The chunks' mean NLLs are weighted by
-    their share of the samples, giving ``{("ppl", i): exp(NLL_i)}``.
-    """
-    calib = np.asarray(calib)
-    if calib.ndim != 2 or calib.shape[0] == 0:
-        raise DataError("calibration set must be a non-empty [n, seq] token array")
-    num_layers = model.config.num_layers
-    if ppl and num_layers < 2:
-        raise PruneError("layer importance needs at least two layers")
-    pairs = set(pairs)
-    removals = range(num_layers) if ppl else ()
-    blocks = set(removals) | {i for pair in pairs for i in pair}
-
-    def tap(site, layer, value):
-        if site == "x":
-            return value if layer in blocks else None
-        if site not in _WIDTH_SITES:
-            return None
-        # Reduced in float64 straight from the float32 activation, in its own
-        # memory order (head-major for "attn"), which fixes the summation
-        # order; the float64 results equal those of a float64 copy.
-        values = value.data
-        if site == "attn":
-            values = np.sqrt(np.square(values, dtype=np.float64).sum(axis=-1))  # [B,S,H]
-        return _apply_agg(spec.seq_fn, values, axis=1)
-
-    n = calib.shape[0]
-    nll = {i: 0.0 for i in removals}
-    parts: dict = {}
-    for i in range(0, n, _CHUNK):
-        chunk = calib[i : i + _CHUNK]
-        _, acts = forward(model, chunk, tap=tap)
-        for a, b in pairs:
-            acts[("bi", a, b)] = _cosine_rows(acts[("x", a)].data, acts[("x", b)].data)
-        for layer in removals:
-            logits, _ = forward(model, chunk, start=(layer + 1, acts[("x", layer)]))
-            nll[layer] += len(chunk) / n * ad.cross_entropy(logits, chunk[:, 1:]).item()
-        for key, value in acts.items():
-            if key[0] != "x":
-                parts.setdefault(key, []).append(value)
-    scores = {("ppl", layer): math.exp(v) for layer, v in nll.items()}
-    for key, chunks in parts.items():
-        values = np.concatenate(chunks)
-        if key[0] == "bi":
-            scores[key] = float(1.0 - values.mean())
-        else:
-            scores[key] = _apply_agg(spec.batch_fn, values, axis=0)
-    return scores
-
-
-def _per_layer(scores, site: str, num_layers: int, width: int) -> np.ndarray:
-    out = np.zeros((num_layers, width))
-    for i in range(num_layers):
-        out[i] = scores[(site, i)]
-    return out
-
-
-def _emb_total(scores, num_layers: int, width: int) -> np.ndarray:
-    # Summed in network order: each block's two norms, then the final norm.
-    total = np.zeros(width)
-    for i in range(num_layers):
-        total += scores[("ln1", i)]
-        total += scores[("ln2", i)]
-    total += scores[("ln1", num_layers)]
-    return total
+# The report's score arrays, in the order they are stored.
+_SCORE_FIELDS = (
+    "head_scores", "neuron_scores", "emb_scores", "layer_scores_ppl", "layer_scores_bi"
+)
 
 
 @dataclass
@@ -206,15 +131,8 @@ class ImportanceReport:
         payload = {
             "aggregation": self.agg.to_dict(),
             "calibration_checksum": self.calibration_checksum,
-            "head_scores": self.head_scores.tolist(),
-            "neuron_scores": self.neuron_scores.tolist(),
-            "emb_scores": self.emb_scores.tolist(),
-            "layer_scores_ppl": (
-                None if self.layer_scores_ppl is None else self.layer_scores_ppl.tolist()
-            ),
-            "layer_scores_bi": (
-                None if self.layer_scores_bi is None else self.layer_scores_bi.tolist()
-            ),
+            **{name: None if (v := getattr(self, name)) is None else v.tolist()
+               for name in _SCORE_FIELDS},
             "block_bi": [
                 {"start": s, "length": ln, "score": v}
                 for (s, ln), v in sorted(self.block_bi_scores.items())
@@ -242,11 +160,7 @@ class ImportanceReport:
                 return (e["start"], e["length"]), e["score"]
 
             return cls(
-                head_scores=scores("head_scores"),
-                neuron_scores=scores("neuron_scores"),
-                emb_scores=scores("emb_scores"),
-                layer_scores_ppl=scores("layer_scores_ppl"),
-                layer_scores_bi=scores("layer_scores_bi"),
+                **{name: scores(name) for name in _SCORE_FIELDS},
                 block_bi_scores=dict(block(e) for e in d.get("block_bi", [])),
                 agg=AggregationSpec.from_dict(d["aggregation"]),
                 calibration_checksum=d["calibration_checksum"],
@@ -275,33 +189,84 @@ def compute_importance_report(
     include_bi: bool = True,
     blocks: list[tuple[int, int]] | None = None,
 ) -> ImportanceReport:
-    """Score every axis from one captured pass over the calibration set,
-    including the per-layer perplexity sweep; disable it when only width
+    """Score every axis from one chunked forward pass over the calibration
+    set, including the per-layer perplexity sweep; disable it when only width
     axes are needed.
 
-    With the sweep, each chunk of at most ``_CHUNK`` (32) samples takes one
-    forward and ``L`` resumed ones, ``L + L(L-1)/2`` blocks in all."""
+    Each width site is reduced as it is produced to per-sample ``[B, C]``
+    sequence aggregates under ``spec.seq_fn`` (heads first take the per-token
+    L2 over ``d_head``), in float64 straight from the activation; after the
+    last chunk ``spec.batch_fn`` collapses the samples. Block inputs are held
+    raw only within a chunk of at most ``_CHUNK`` (32) samples, for the
+    per-token cosines behind each block influence ``1 - E[cos(X_a, X_b)]``
+    (an adjacent pair and a one-block ``blocks`` entry are one pair) and for
+    the removal sweep: the model without block ``i`` resumes at block
+    ``i + 1`` on the chunk's ``X_i``, so with the sweep a chunk runs
+    ``L + L(L-1)/2`` blocks. Each chunk's mean NLL is weighted by its share
+    of the samples, and a removal scores ``exp(NLL_i)``.
+    """
     _require_no_tape("compute_importance_report")
     spec = spec or AggregationSpec()
     cfg = model.config
+    num_layers = cfg.num_layers
     blocks = [(start, length) for start, length in blocks or []]
     for start, length in blocks:
-        if length < 1 or start < 0 or start + length > cfg.num_layers:
-            raise PruneError(f"block ({start}, {length}) out of range for {cfg.num_layers} layers")
-    adjacent = [(i, i + 1) for i in range(cfg.num_layers)] if include_bi else []
-    block_pairs = [(s, s + ln) for s, ln in blocks]
-    scores = _calibration_pass(model, calib, spec, adjacent + block_pairs, include_ppl)
+        if length < 1 or start < 0 or start + length > num_layers:
+            raise PruneError(f"block ({start}, {length}) out of range for {num_layers} layers")
+    calib = np.asarray(calib)
+    if calib.ndim != 2 or calib.shape[0] == 0:
+        raise DataError("calibration set must be a non-empty [n, seq] token array")
+    if include_ppl and num_layers < 2:
+        raise PruneError("layer importance needs at least two layers")
+    adjacent = {(i, i + 1) for i in range(num_layers)} if include_bi else set()
+    cosines = {pair: [] for pair in adjacent | {(s, s + ln) for s, ln in blocks}}
+    removals = range(num_layers) if include_ppl else ()
+    kept_inputs = set(removals) | {i for pair in cosines for i in pair}
+    width = {site: [[] for _ in range(num_layers + 1)]
+             for site in ("attn", "mlp_pre", "ln1", "ln2")}
+    nll = np.zeros(num_layers)
+
+    def tap(site, layer, value):
+        if site == "x":
+            return value if layer in kept_inputs else None
+        if site in width:
+            # Reduced in float64 straight from the float32 activation, in its
+            # own memory order (head-major for "attn"), which fixes the
+            # summation order; the results equal those of a float64 copy.
+            values = value.data
+            if site == "attn":
+                values = np.sqrt(np.square(values, dtype=np.float64).sum(axis=-1))  # [B,S,H]
+            width[site][layer].append(_apply_agg(spec.seq_fn, values, axis=1))
+        return None
+
+    n = calib.shape[0]
+    for i in range(0, n, _CHUNK):
+        chunk = calib[i : i + _CHUNK]
+        _, inputs = forward(model, chunk, tap=tap)
+        for (a, b), rows in cosines.items():
+            rows.append(_cosine_rows(inputs[("x", a)].data, inputs[("x", b)].data))
+        for layer in removals:
+            logits, _ = forward(model, chunk, start=(layer + 1, inputs[("x", layer)]))
+            nll[layer] += len(chunk) / n * ad.cross_entropy(logits, chunk[:, 1:]).item()
+
+    def per_layer(site, count):
+        return [_apply_agg(spec.batch_fn, np.concatenate(parts), axis=0)
+                for parts in width[site][:count]]
+
+    def bi(pair):
+        return float(1.0 - np.concatenate(cosines[pair]).mean())
+
+    ln1, ln2 = per_layer("ln1", num_layers + 1), per_layer("ln2", num_layers)
     return ImportanceReport(
-        head_scores=_per_layer(scores, "attn", cfg.num_layers, cfg.num_heads),
-        neuron_scores=_per_layer(scores, "mlp_pre", cfg.num_layers, cfg.d_hidden),
-        emb_scores=_emb_total(scores, cfg.num_layers, cfg.d_model),
-        layer_scores_ppl=(
-            np.array([scores[("ppl", i)] for i in range(cfg.num_layers)]) if include_ppl else None
-        ),
+        head_scores=np.reshape(per_layer("attn", num_layers), (num_layers, cfg.num_heads)),
+        neuron_scores=np.reshape(per_layer("mlp_pre", num_layers), (num_layers, cfg.d_hidden)),
+        # Summed in network order: each block's two norms, then the final norm.
+        emb_scores=sum(x for pair in zip(ln1, ln2) for x in pair) + ln1[-1],
+        layer_scores_ppl=np.array([math.exp(v) for v in nll]) if include_ppl else None,
         layer_scores_bi=(
-            np.array([scores[("bi", *p)] for p in adjacent]) if include_bi else None
+            np.array([bi((i, i + 1)) for i in range(num_layers)]) if include_bi else None
         ),
-        block_bi_scores={b: scores[("bi", *p)] for b, p in zip(blocks, block_pairs)},
+        block_bi_scores={(s, ln): bi((s, s + ln)) for s, ln in blocks},
         agg=spec,
         calibration_checksum=calibration_checksum(calib),
     )

@@ -116,6 +116,16 @@ def test_matmul_shape_mismatch():
         ad.matmul(t64(np.ones((2, 2, 3))), t64(np.ones((3, 2, 2))))
 
 
+@pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div])
+def test_elementwise_ops_refuse_operands_of_two_shapes(op):
+    a = t64(np.ones((2, 3)), requires_grad=True)
+    for other in ((1, 3), (3,), (2, 1), (), (2, 3, 1)):
+        with pytest.raises(ShapeError, match="one shape"):
+            op(a, t64(np.full(other, 2.0)))
+    assert op(a, t64(np.full((2, 3), 2.0))).shape == (2, 3)
+    assert np.array_equal(ad.mul(a, 2.0).data, np.full((2, 3), 2.0))
+
+
 # ---------------------------------------------------------------- layer norm
 
 
@@ -431,11 +441,11 @@ def no_gc():
 
 
 def test_intermediate_no_backward_reads_is_freed_when_dropped(no_gc):
-    # add's backward reads only shapes, so nothing in the graph keeps y.
+    # add's backward reads no input array, so nothing in the graph keeps y.
     w = t64(np.arange(9.0).reshape(3, 3), requires_grad=True)
     with Tape():
         y = ad.matmul(w, w)
-        z = ad.add(y, 1.0)
+        z = ad.add(y, t64(np.ones((3, 3))))
         data = weakref.ref(y.data)
         del y
         assert data() is None

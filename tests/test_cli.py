@@ -512,3 +512,52 @@ def test_eval_runs_one_forward(workdir, capsys, monkeypatch):
     batch = sample_calibration(ingest_text(str(workdir / "corpus.txt"), seed=0), 4, 8, 0)
     loss = lm_loss(load_checkpoint(str(workdir / "model.ckpt")), batch).item()
     assert line["perplexity"] == math.exp(loss)
+
+
+def _warning_lines(code, capsys) -> list[dict]:
+    """Exit 0 with one JSON line on stdout; every stderr line is JSON.
+    Returns the stderr lines."""
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert len(out.splitlines()) == 1
+    json.loads(out)
+    return [json.loads(line) for line in err.splitlines()]
+
+
+def test_search_warns_in_json_when_no_candidate_fits(workdir, capsys):
+    argv = (f"search --space {workdir}/space.json --budget 1 --tolerance 0.1 "
+            f"--out {workdir}/empty_cands.json")
+    assert _warning_lines(cli.main(argv.split()), capsys) == [
+        {"warning": "UserWarning", "message": "no feasible candidates inside the budget window"}
+    ]
+
+
+def test_distill_warns_in_json_once_per_distinct_message(workdir, tmp_path, capsys):
+    """A depth cut built at the teacher's seed has its mapped states equal
+    up to rounding, and at learning rate 0 it keeps them, so dynamic alpha is
+    forced to 0 on both steps; the two warnings print as one JSON line."""
+    save_checkpoint(build_model(ModelConfig(**{**MODEL, "num_layers": 1}), seed=0),
+                    str(tmp_path / "student.ckpt"))
+    argv = (f"distill --teacher {workdir}/model.ckpt --student {tmp_path}/student.ckpt "
+            f"--data {workdir}/corpus.txt --out {tmp_path}/s.ckpt --metrics {tmp_path}/m.jsonl "
+            "--steps 2 --batch-size 2 --seq-len 8 --lr-max 0 --lr-min 0")
+    assert _warning_lines(cli.main(argv.split()), capsys) == [{
+        "warning": "UserWarning",
+        "message": "L_is is not above epsilon; dynamic alpha forced to 0 this step",
+    }]
+    metrics = [json.loads(m) for m in (tmp_path / "m.jsonl").read_text().splitlines()]
+    assert [m["alpha"] for m in metrics] == [0.0, 0.0]
+
+
+def test_distill_config_without_a_layer_map_fails_before_any_output(workdir, tmp_path, capsys):
+    (tmp_path / "exp.json").write_text(json.dumps({"distill": {"is_components": ["o"]}}))
+    argv = (f"distill --teacher {workdir}/model.ckpt --student {workdir}/model.ckpt "
+            f"--data {workdir}/corpus.txt --out {tmp_path}/s.ckpt --metrics {tmp_path}/m.jsonl "
+            f"--config {tmp_path}/exp.json --steps 1 --batch-size 2 --seq-len 8")
+    assert cli.main(argv.split()) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == "ConfigError"
+    assert "layer_map" in json.loads(line)["message"]
+    assert not (tmp_path / "s.ckpt").exists() and not (tmp_path / "m.jsonl").exists()

@@ -231,13 +231,10 @@ def test_intermediate_single_pair_matches_recompute(rng):
 
 
 def test_intermediate_requires_layer_map():
-    m = build_model(small_config(), seed=5)
-    toks = np.zeros((1, 4), dtype=int)
-    rec = capture_all(m, toks)
-    proj = SharedProjection(16, 16)
-    cfg = DistillConfig(is_components=("o",))
-    with pytest.raises(ConfigError):
-        intermediate_loss(teacher_targets(m, toks, cfg)["states"], rec, proj, cfg, d_head=4)
+    for comps in (("o",), ("i",), ("emb", "att")):
+        with pytest.raises(ConfigError, match="need a teacher:student layer_map"):
+            DistillConfig(is_components=comps)
+    assert DistillConfig(is_components=("emb",)).layer_map == ()
 
 
 def test_intermediate_layer_map_past_last_block():

@@ -48,9 +48,9 @@ def report(m, calib, spec=None, include_bi=False, blocks=None):
 
 
 def aggregate(scores, spec):
-    """The two reductions ``_calibration_pass`` makes of one channel's
-    per-token scores ``[batch, seq]``: ``spec.seq_fn`` over the sequence of
-    each sample, then ``spec.batch_fn`` over the samples."""
+    """The two reductions :func:`compute_importance_report` makes of one
+    channel's per-token scores ``[batch, seq]``: ``spec.seq_fn`` over the
+    sequence of each sample, then ``spec.batch_fn`` over the samples."""
     per_sample = _apply_agg(spec.seq_fn, np.asarray(scores, dtype=np.float64), axis=1)
     return float(_apply_agg(spec.batch_fn, per_sample, axis=0))
 
@@ -154,6 +154,29 @@ def test_report_width_scores_equal_the_float64_copy_bytes(batch_fn, seq_fn, dtyp
         ("emb_scores", emb),
     ):
         assert getattr(got, field).tobytes() == value.tobytes(), field
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("include_bi", [False, True])
+def test_zero_layer_report_keeps_its_shapes_and_scores_the_final_norm(include_bi, dtype):
+    # With no blocks the per-layer fields are empty [0, width] tables, and
+    # the final norm is the one embedding site.
+    m = small_model(num_layers=0, dtype=dtype)
+    calib = toks(3, 8)
+    spec = AggregationSpec("l2", "mean_abs")
+    got = report(m, calib, spec, include_bi=include_bi)
+    assert got.head_scores.shape == (0, m.config.num_heads)
+    assert got.neuron_scores.shape == (0, m.config.d_hidden)
+    _, acts = forward(m, calib, tap=lambda site, layer, value: value.data
+                      if site == "ln1" else None)
+    want = oracle.float64_copy_width_scores(acts, spec.seq_fn, spec.batch_fn)[("ln1", 0)]
+    assert got.emb_scores.dtype == np.float64
+    assert got.emb_scores.tobytes() == want.tobytes()
+    assert got.layer_scores_ppl is None
+    if include_bi:
+        assert got.layer_scores_bi.shape == (0,)
+    else:
+        assert got.layer_scores_bi is None
 
 
 # ---------------------------------------------------------------- width axes
