@@ -2,14 +2,14 @@
 
 Just enough operator coverage for a decoder-only transformer: matmul,
 elementwise arithmetic (two operands of one shape, or a python scalar
-factor), reductions, softmax / log-softmax, layer norm,
-embedding lookup, gather along the vocab axis, rotary position twiddles,
-cross-entropy over a prefix of the positions (next-token targets meet the
-full logits, unsliced), fused :func:`causal_attention`, one node from
-scores to per-head output, and the MLP's fused :func:`squared_relu_matmul`,
-which keeps ``relu(x)`` and recomputes its square. Every weight product (a
-2-D right operand, or a :func:`linear` weight stored ``[out, in]``) runs as
-one 2-D GEMM over the left operand's folded leading axes.
+factor), reductions, softmax / log-softmax, layer norm, embedding lookup,
+gather along the vocab axis, rotary position twiddles, cross-entropy over a
+prefix of the positions (next-token targets meet the full logits, unsliced),
+fused :func:`causal_attention`, one node that masks itself, from projections
+to per-head output, and the MLP's fused :func:`squared_relu_matmul`, which
+keeps ``relu(x)`` and recomputes its square. Every weight product (a 2-D
+right operand, or a :func:`linear` weight stored ``[out, in]``) is one 2-D
+GEMM over the left operand's folded leading axes.
 Every probability comes from one kernel, :func:`_softmax_rows`, and every
 log-probability from one other, :func:`_log_softmax_rows`; the numpy-side
 teacher terms of distillation call them too. Both shift by :func:`_row_max`.
@@ -30,6 +30,7 @@ produce bit-identical outputs within one build.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 
@@ -528,40 +529,47 @@ def softmax(a: Tensor) -> Tensor:
     return _make(out, (a,), fn)
 
 
-def causal_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray) -> Tensor:
-    """``softmax(q kᵀ / sqrt(d) + mask) v`` per head, as one node.
+@functools.lru_cache(maxsize=8)
+def _causal_mask(s: int, dtype) -> np.ndarray:
+    """Additive ``[S, S]`` mask: -1e9 above the diagonal, 0 on and below."""
+    return np.triu(np.full((s, s), -1e9, dtype=dtype), k=1)
 
-    ``q`` is ``[B, H, S, d]``, ``k`` and ``v`` ``[B, G, S, d]`` (each of
-    the ``G`` key/value heads serves ``H / G`` consecutive query heads), and
-    ``mask`` an additive ``[S, S]`` constant. A group's query heads are read
-    as one ``[(H / G)·S, d]`` operand: no key/value copies, and their
-    gradients sum over the group inside one GEMM. Dense FlashAttention
-    backward (arXiv 2205.14135); scale, mask and softmax run in place.
+
+def causal_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """``softmax(q kᵀ / sqrt(d) + causal mask) v`` per head, as one node.
+
+    ``q`` and the output are ``[B, S, H, d]``; ``k`` and ``v`` ``[B, S, G, d]``,
+    each key/value head serving ``H / G`` consecutive query heads. GEMMs read
+    head-major views, a group's query heads as one ``[(H / G)·S, d]`` copy:
+    no key/value copies, and their gradients sum over the group in one GEMM.
+    Scale, the mask (cached per ``(S, dtype)``) and softmax run in place;
+    dense FlashAttention backward (arXiv 2205.14135).
     """
-    b, h, s, d = q.shape
-    grp = k.shape[1]
-    if k.shape != (b, grp, s, d) or v.shape != k.shape or h % grp:
+    b, s, h, d = q.shape
+    grp = k.shape[2]
+    if k.shape != (b, s, grp, d) or v.shape != k.shape or h % grp:
         raise ShapeError(f"attention shapes disagree: q {q.shape}, k {k.shape}, v {v.shape}")
     scale = 1.0 / math.sqrt(d)
-    qg = q.data.reshape(b, grp, (h // grp) * s, d)
-    p = np.matmul(qg, k.data.swapaxes(-1, -2))
+    kh, vh = k.data.transpose(0, 2, 1, 3), v.data.transpose(0, 2, 1, 3)  # head-major views
+    qg = q.data.transpose(0, 2, 1, 3).reshape(b, grp, (h // grp) * s, d)
+    p = np.matmul(qg, kh.swapaxes(-1, -2))
     p *= scale
     heads = p.reshape(b, grp, h // grp, s, s)  # a view: matmul output is contiguous
-    heads += mask
+    heads += _causal_mask(s, p.dtype)
     _softmax_rows(p, out=p)
-    out = np.matmul(p, v.data).reshape(b, h, s, d)
+    out = np.matmul(p, vh).reshape(b, h, s, d)
 
     def fn(g):
-        gg = g.reshape(b, grp, (h // grp) * s, d)
+        gg = g.transpose(0, 2, 1, 3).reshape(b, grp, (h // grp) * s, d)
         gv = np.matmul(p.swapaxes(-1, -2), gg)
-        gp = np.matmul(gg, v.data.swapaxes(-1, -2))
+        gp = np.matmul(gg, vh.swapaxes(-1, -2))
         gs = _softmax_rows_grad(gp, p, out=gp)
         gs *= scale
-        gq = np.matmul(gs, k.data).reshape(b, h, s, d)
+        gq = np.matmul(gs, kh).reshape(b, h, s, d)
         gk = np.matmul(gs.swapaxes(-1, -2), qg)
-        return gq, gk, gv
+        return gq.transpose(0, 2, 1, 3), gk.transpose(0, 2, 1, 3), gv.transpose(0, 2, 1, 3)
 
-    return _make(out, (q, k, v), fn)
+    return _make(out.transpose(0, 2, 1, 3), (q, k, v), fn)
 
 
 def log_softmax(a: Tensor) -> Tensor:

@@ -200,6 +200,7 @@ def _relation_kld(t_rel: np.ndarray, t_entropy: np.ndarray, s: Tensor, d_head: i
     """Row-wise KL from the teacher's relation map ``t_rel`` (its rows'
     ``sum p log p`` is ``t_entropy``) to the student's, the head-averaged
     softmax(A A^T / sqrt(d_head)) of ``s``. Head counts may differ."""
+    s = ad.transpose(s, (0, 2, 1, 3))
     s_scores = ad.mul(ad.matmul(s, ad.transpose(s, (0, 1, 3, 2))), 1.0 / math.sqrt(d_head))
     s_rel = ad.mean(ad.softmax(s_scores), axis=1)  # [B,S,S]
     cross = ad.tsum(ad.mul(Tensor._wrap(t_rel), ad.log(s_rel)), axis=-1)
@@ -211,7 +212,8 @@ def _mapped_sites(cfg: DistillConfig, col: int) -> list[tuple[str, tuple[str, in
     compares, in term order, on one side of the layer map (``col`` 0 is the
     teacher, 1 the student): emb at the embedding output ``("x", 0)``, o at
     block ``i``'s next norm site ``("ln1", i + 1)``, i at the MLP input
-    ``("ln2", i)``, att at the query/key/value states ``("qkv", i)``."""
+    ``("ln2", i)``, att at the ``[B,S,heads,d_head]`` query/key/value states
+    ``("qkv", i)``, which both sides of the term read head-major."""
     comps = cfg.is_components
     sites = [("emb", ("x", 0))] if "emb" in comps else []
     for pair in cfg.layer_map:
@@ -284,7 +286,7 @@ def teacher_targets(teacher: Model, batch: np.ndarray, cfg: DistillConfig) -> di
             continue
         maps, scale = [], 1.0 / math.sqrt(teacher.config.d_head)
         for t in acts[key]:  # head-averaged softmax(A A^T / sqrt(d_head)), [B,S,S]
-            t64 = t.data.astype(np.float64)
+            t64 = t.data.transpose(0, 2, 1, 3).astype(np.float64)  # head-major
             rel = _softmax_rows(np.matmul(t64, t64.swapaxes(-1, -2)) * scale).mean(axis=1)
             rel = rel.astype(t.dtype)
             maps.append((rel, (rel * np.log(rel)).sum(axis=-1)))

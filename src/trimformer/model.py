@@ -24,7 +24,6 @@ from .errors import ConfigError, DataError
 
 ROPE_BASE = 10000.0
 INIT_STD = 0.02
-MASK_FILL = -1e9
 
 
 def _is_number(value) -> bool:
@@ -112,7 +111,6 @@ class Model:
         self.config = config
         self.params = params
         self._rope_cache: dict = {}
-        self._mask_cache: dict = {}
 
     @property
     def dtype(self):
@@ -153,12 +151,6 @@ class Model:
                 for t in ((cos, cos), (-sin, sin))
             )
         return self._rope_cache[key]
-
-    def causal_mask(self, seq_len: int) -> np.ndarray:
-        if seq_len not in self._mask_cache:
-            m = np.full((seq_len, seq_len), MASK_FILL, dtype=self.dtype)
-            self._mask_cache[seq_len] = np.triu(m, k=1)
-        return self._mask_cache[seq_len]
 
 
 def _layer_param_shapes(config: ModelConfig) -> list[tuple[str, tuple]]:
@@ -211,19 +203,15 @@ def _attention(model: Model, x: Tensor, layer: int, emit):
 
     def project(w: Tensor, n_heads: int, rotate: bool) -> Tensor:
         y = ad.reshape(ad.linear(x, w), (b, s, n_heads, dh))
-        if rotate:
-            y = ad.rope(y, *model.rope_tables(s, n_heads))
-        return ad.transpose(y, (0, 2, 1, 3))  # head-major
+        return ad.rope(y, *model.rope_tables(s, n_heads)) if rotate else y
 
     q = project(model.layer_param(layer, "attn.wq"), h, True)
     k = project(model.layer_param(layer, "attn.wk"), g, True)
     v = project(model.layer_param(layer, "attn.wv"), g, False)
     emit("qkv", layer, (q, k, v))
-    attn = ad.causal_attention(q, k, v, model.causal_mask(s))
-    attn = ad.transpose(attn, (0, 2, 1, 3))  # back to [B,S,H,Dh]
+    attn = ad.causal_attention(q, k, v)
     emit("attn", layer, attn)
-    concat = ad.reshape(attn, (b, s, h * dh))
-    return ad.matmul(concat, model.layer_param(layer, "attn.wo"))
+    return ad.matmul(ad.reshape(attn, (b, s, h * dh)), model.layer_param(layer, "attn.wo"))
 
 
 def forward(model: Model, tokens: np.ndarray, tap=None, start=None):
@@ -250,9 +238,9 @@ def forward(model: Model, tokens: np.ndarray, tap=None, start=None):
                          the final norm, so block ``i``'s normalized output
                          is always ``("ln1", i + 1)``
     ln2       0 .. L-1   second norm output (the MLP input) ``[B,S,d]``
-    qkv       0 .. L-1   ``(q, k, v)`` head-major ``[B,heads,S,d_head]``
-                         after rotary positions; ``k`` and ``v`` have one
-                         head per query group
+    qkv       0 .. L-1   ``(q, k, v)`` ``[B,S,heads,d_head]`` after rotary
+                         positions; ``k`` and ``v`` have one head per query
+                         group
     attn      0 .. L-1   per-head attention output ``[B,S,H,d_head]``
                          before the output projection
     mlp_pre   0 .. L-1   MLP pre-activation ``[B,S,d_hidden]``

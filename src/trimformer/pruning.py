@@ -55,6 +55,8 @@ def merge_pairs(total: int, kept: int) -> list[tuple[int, int]]:
 
 
 def _need(axis: str, arr, expected_shape) -> np.ndarray:
+    if arr is not None and np.size(arr) == 0 == np.prod(expected_shape):
+        arr = np.reshape(arr, expected_shape)  # JSON keeps no extent of an empty table
     if arr is None or tuple(np.shape(arr)) != expected_shape:
         raise PruneError(f"rankings do not cover the {axis}")
     return np.asarray(arr)
@@ -186,7 +188,7 @@ def _kept_layers(num_layers: int, layer_indices) -> list[int]:
     for i in sorted(removed):
         if i < 0 or i >= num_layers:
             raise PruneError(f"layer index {i} out of range for {num_layers} layers")
-    if len(removed) >= num_layers:
+    if removed and len(removed) == num_layers:
         raise PruneError("cannot remove every layer")
     return [i for i in range(num_layers) if i not in removed]
 

@@ -75,6 +75,29 @@ def squared_relu_then_matmul(a, w, g):
     return out, g_sq * 2.0 * r, g_w
 
 
+def head_major_causal_attention(q, k, v, g):
+    """Causal attention on head-major operands, as the package's kernel ran
+    when its caller transposed: ``q`` and the output gradient ``g`` are
+    ``[B, H, S, d]``, ``k`` and ``v`` ``[B, G, S, d]``, and the ``-1e9``
+    mask is built in ``q``'s dtype. Returns the output and the gradients of
+    ``sum(g * out)`` by q, k and v, head-major: the arithmetic the package's
+    ``causal_attention`` must reproduce byte for byte."""
+    b, h, s, d = q.shape
+    grp = k.shape[1]
+    scale = 1.0 / math.sqrt(d)
+    mask = np.triu(np.full((s, s), -1e9, dtype=q.dtype), k=1)
+    qg = q.reshape(b, grp, (h // grp) * s, d)
+    scores = np.matmul(qg, k.swapaxes(-1, -2)) * scale
+    scores = (scores.reshape(b, grp, h // grp, s, s) + mask).reshape(scores.shape)
+    p = max_shift_softmax_rows(scores)
+    out = np.matmul(p, v).reshape(b, h, s, d)
+    gg = g.reshape(b, grp, (h // grp) * s, d)
+    gp = np.matmul(gg, v.swapaxes(-1, -2))
+    gs = (gp - (gp * p).sum(axis=-1, keepdims=True)) * p * scale
+    gq = np.matmul(gs, k).reshape(b, h, s, d)
+    return out, gq, np.matmul(gs.swapaxes(-1, -2), qg), np.matmul(p.swapaxes(-1, -2), gg)
+
+
 def agg_formula(name, values):
     values = [float(v) for v in values]
     n = len(values)
@@ -330,7 +353,8 @@ def teacher_in_loss_total_loss(batch, teacher, student, cfg, projection=None):
         for (comp, t_key), (_, s_key) in zip(sites(0), sites(1)):
             if comp == "att":
                 for t_state, s_state in zip(t_acts[t_key], s_acts[s_key]):
-                    t = t_state.data.astype(np.float64)
+                    t = t_state.data.transpose(0, 2, 1, 3).astype(np.float64)
+                    s_state = ad.transpose(s_state, (0, 2, 1, 3))  # head-major
                     t_scores = np.matmul(t, t.swapaxes(-1, -2)) * scale
                     t_rel = max_shift_softmax_rows(t_scores).mean(axis=1)
                     t_rel = t_rel.astype(t_state.dtype)

@@ -10,7 +10,6 @@ import _oracles as oracle
 from trimformer import autodiff as ad
 from trimformer.autodiff import Tape, Tensor
 from trimformer.errors import DataError, ShapeError, TapeError
-from trimformer.model import MASK_FILL
 
 
 def t64(arr, requires_grad=False):
@@ -69,7 +68,7 @@ def test_fd_matmul_stacked_left_against_2d_right(transposed):
 @pytest.mark.parametrize("heads,groups", [(4, 4), (4, 2)])
 def test_fd_linear_projections(heads, groups):
     # The attention projections of an MHA and a GQA block: [B, S, d] inputs
-    # against [out, in] weights, read back head-major.
+    # against [out, in] weights, split into heads.
     rng = np.random.default_rng(12)
     b, s, d, dh = 2, 5, 6, 3
     x = t64(rng.normal(size=(b, s, d)), requires_grad=True)
@@ -78,14 +77,13 @@ def test_fd_linear_projections(heads, groups):
         "wk": t64(rng.normal(size=(groups * dh, d)), requires_grad=True),
         "wv": t64(rng.normal(size=(groups * dh, d)), requires_grad=True),
     }
-    mask = np.triu(np.full((s, s), -1e9), k=1)
 
     def compute():
         q, k, v = (
-            ad.transpose(ad.reshape(ad.linear(x, ws[name]), (b, s, n, dh)), (0, 2, 1, 3))
+            ad.reshape(ad.linear(x, ws[name]), (b, s, n, dh))
             for name, n in (("wq", heads), ("wk", groups), ("wv", groups))
         )
-        y = ad.causal_attention(q, k, v, mask)
+        y = ad.causal_attention(q, k, v)
         return ad.tsum(ad.mul(y, y))
 
     with Tape():
@@ -186,7 +184,7 @@ def max_test_rows(width, dtype):
     """Rows that stress an exact max: ties, the causal mask fill, mixed
     +0.0/-0.0 and +-inf."""
     rng = np.random.default_rng(width)
-    causal = rng.normal(size=(width, width)) + np.triu(np.full((width, width), MASK_FILL), 1)
+    causal = rng.normal(size=(width, width)) + np.triu(np.full((width, width), -1e9), 1)
     rows = [
         rng.normal(size=(8, width)),
         rng.integers(-2, 3, size=(8, width)),
@@ -585,14 +583,13 @@ def test_fd_causal_attention(heads, groups):
     # MHA and GQA; at S=6 the causal mask hides 15 of each head's 36 scores.
     rng = np.random.default_rng(11)
     b, s, d = 2, 6, 4
-    q = t64(rng.normal(size=(b, heads, s, d)), requires_grad=True)
-    k = t64(rng.normal(size=(b, groups, s, d)), requires_grad=True)
-    v = t64(rng.normal(size=(b, groups, s, d)), requires_grad=True)
-    mask = np.triu(np.full((s, s), -1e9), k=1)
-    weight = Tensor(rng.normal(size=(b, heads, s, d)))
+    q = t64(rng.normal(size=(b, s, heads, d)), requires_grad=True)
+    k = t64(rng.normal(size=(b, s, groups, d)), requires_grad=True)
+    v = t64(rng.normal(size=(b, s, groups, d)), requires_grad=True)
+    weight = Tensor(rng.normal(size=(b, s, heads, d)))
 
     def compute():
-        return ad.tsum(ad.mul(ad.causal_attention(q, k, v, mask), weight))
+        return ad.tsum(ad.mul(ad.causal_attention(q, k, v), weight))
 
     with Tape():
         loss = compute()
@@ -600,13 +597,39 @@ def test_fd_causal_attention(heads, groups):
     oracle.check_fd(lambda: compute().item(), {"q": q, "k": k, "v": v}, h=1e-5, tol=1e-6)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("heads,groups", [(4, 4), (4, 2), (8, 1)])
+@pytest.mark.parametrize("seq", [32, 64])
+def test_causal_attention_is_bitwise_the_head_major_kernel(dtype, heads, groups, seq):
+    # Operands in the projections' [B, S, heads, d] layout, as contiguous
+    # arrays; the reference reads the head-major views a caller's transpose
+    # made, so every GEMM sees the same operands and the output and q/k/v
+    # gradients match byte for byte.
+    rng = np.random.default_rng(seq + heads + groups)
+    b, d = 2, 8
+    q, k, v = (Tensor(rng.normal(size=(b, seq, n, d)).astype(dtype), requires_grad=True)
+               for n in (heads, groups, groups))
+    g = rng.normal(size=(b, seq, heads, d)).astype(dtype)
+    with Tape():
+        out = ad.causal_attention(q, k, v)
+        loss = ad.tsum(ad.mul(out, Tensor(g)))  # out's gradient is g exactly
+    ad.backward(loss)
+    want = oracle.head_major_causal_attention(
+        *(t.data.transpose(0, 2, 1, 3) for t in (q, k, v)), g.transpose(0, 2, 1, 3))
+    for got, ref in zip((out.data, q.grad, k.grad, v.grad), want, strict=True):
+        assert got.dtype == dtype
+        assert got.transpose(0, 2, 1, 3).tobytes() == ref.tobytes()
+
+
 def test_causal_attention_shape_mismatch():
-    k = t64(np.ones((1, 2, 3, 4)))
-    narrow_v = t64(np.ones((1, 2, 3, 2)))
+    k = t64(np.ones((1, 3, 2, 4)))
+    narrow_v = t64(np.ones((1, 3, 2, 2)))
     with pytest.raises(ShapeError):  # 3 query heads over 2 groups
-        ad.causal_attention(t64(np.ones((1, 3, 3, 4))), k, k, np.zeros((3, 3)))
+        ad.causal_attention(t64(np.ones((1, 3, 3, 4))), k, k)
     with pytest.raises(ShapeError):  # keys and values disagree
-        ad.causal_attention(t64(np.ones((1, 2, 3, 4))), k, narrow_v, np.zeros((3, 3)))
+        ad.causal_attention(t64(np.ones((1, 3, 2, 4))), k, narrow_v)
+    with pytest.raises(ShapeError):  # queries and keys disagree on the sequence
+        ad.causal_attention(t64(np.ones((1, 4, 2, 4))), k, k)
 
 
 # ---------------------------------------------------------------- misc

@@ -175,7 +175,7 @@ def test_capture_shapes(toy_config):
     n = toy_config.num_layers
     assert acts[("attn", 0)].shape == (2, 6, h, dh)
     q, k, v = acts[("qkv", 1)]
-    assert q.shape == (2, h, 6, dh) and k.shape == (2, g, 6, dh) == v.shape
+    assert q.shape == (2, 6, h, dh) and k.shape == (2, 6, g, dh) == v.shape
     assert acts[("mlp_pre", 2)].shape == (2, 6, toy_config.d_hidden)
     assert acts[("ln1", 3)].shape == (2, 6, toy_config.d_model)
     assert sorted(i for site, i in acts if site == "x") == list(range(n + 1))
@@ -305,7 +305,18 @@ def test_toy_lm_loss_node_count(toy_config):
     m = build_model(toy_config, seed=0)
     with ad.Tape() as tape:
         lm_loss(m, np.zeros((2, 8), dtype=int))
-    assert len(tape.nodes) == 88
+    assert len(tape.nodes) == 72
+
+
+def test_taped_forward_records_no_transpose(toy_config):
+    # Attention takes q, k and v as projected, [B, S, heads, d_head], and
+    # returns that layout: the forward's graph holds no layout node.
+    m = build_model(toy_config, seed=0)
+    with ad.Tape() as tape:
+        forward(m, np.zeros((2, 8), dtype=int), tap=keep_all)
+    ops = [node.fn.__qualname__.split(".")[0] for node in tape.nodes]
+    assert ops.count("causal_attention") == toy_config.num_layers
+    assert "transpose" not in ops
 
 
 def test_tape_keeps_one_hidden_width_array_per_mlp_block():

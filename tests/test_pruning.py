@@ -56,8 +56,9 @@ def assert_blocks_from(pruned, source, kept):
 # ---------------------------------------------------------------- identity
 
 
-def test_prune_to_self_is_bit_identity():
-    m = build_model(small_config(), seed=0)
+@pytest.mark.parametrize("num_layers", [0, 2])
+def test_prune_to_self_is_bit_identity(num_layers):
+    m = build_model(small_config(num_layers=num_layers), seed=0)
     pruned = apply_candidate(m, m.config, None)
     assert_bit_identical(m, pruned)
     # With merge requested the no-op path must still be the identity.
@@ -259,6 +260,22 @@ def test_prune_depth_errors():
         remove_layers(m, [0, 1])
     with pytest.raises(PruneError, match="out of range"):
         remove_layers(m, [5])
+    with pytest.raises(PruneError, match="cannot remove every layer"):
+        remove_layers(build_model(small_config(num_layers=1), seed=18), [0])
+
+
+def test_zero_layer_report_prunes_after_a_round_trip(tmp_path):
+    # JSON writes a 0-layer report's [0, H] and [0, M] tables as [], which
+    # load as [0]; an empty table still covers an axis that has no blocks.
+    m = build_model(small_config(num_layers=0), seed=3)
+    rep = report_for(m)
+    rep.save(str(tmp_path / "report.json"))
+    loaded = ImportanceReport.load(str(tmp_path / "report.json"))
+    assert loaded.head_scores.shape == (0,) != rep.head_scores.shape
+    target = m.config.with_(d_model=8, num_heads=2, d_hidden=16)
+    want = apply_candidate(m, target, rep)
+    assert want.config == target
+    assert_bit_identical(want, apply_candidate(m, target, loaded))
 
 
 # ---------------------------------------------------------------- merge
