@@ -7,7 +7,6 @@ from .autodiff import Tape, Tensor, backward, no_grad
 from .data import TokenDataset, ingest_text, sample_calibration
 from .distill import (
     DistillConfig,
-    SharedProjection,
     TrainState,
     conventional_loop,
     distill_loop,

@@ -1,6 +1,5 @@
-"""Distillation retraining: logit and intermediate-state losses, a shared
-student-to-teacher upscaling projection, dynamic loss balancing, Adam with
-cosine learning-rate decay.
+"""Distillation retraining: logit and intermediate-state losses, dynamic
+loss balancing, Adam with cosine learning-rate decay.
 
 The total objective is ``L_CLM + L_logits + alpha * L_is`` where alpha is
 either a constant or the per-step ratio L_logits / L_is, treated as a plain
@@ -8,7 +7,9 @@ number (never differentiated through); a config sums only the terms it
 enables. The teacher's side is :func:`teacher_targets`, constant arrays
 computed outside the tape; the other functions hold the student's terms.
 
-There is one training loop, :func:`distill_loop`. Conventional training on
+There is one training loop, :func:`distill_loop`, and it owns the training
+state: the Adam moments, the learning rate and the shared student-to-teacher
+projection of the intermediate terms. Conventional training on
 the ground-truth LM loss is that loop with the CLM-only config
 :data:`CLM_ONLY` and no teacher (:func:`conventional_loop`).
 
@@ -32,7 +33,7 @@ from . import autodiff as ad
 from .autodiff import Tensor, _log_softmax_rows, _softmax_rows
 from .data import TokenDataset, sample_batch
 from .errors import ConfigError, DataError, DivergenceError, ShapeError
-from .model import Model, _is_finite, _is_int, _is_number, forward, lm_loss
+from .model import Model, _is_finite, _is_int, forward, lm_loss
 
 LOGIT_LOSSES = ("kld", "rkld", "mse", "cosine")
 IS_LOSSES = ("cosine", "mse")
@@ -65,8 +66,8 @@ class DistillConfig:
         for name, ok, want in (
             ("logit_loss", self.logit_loss is None or self.logit_loss in LOGIT_LOSSES,
              f"one of {LOGIT_LOSSES} or null"),
-            ("temperature", _is_number(self.temperature) and self.temperature > 0,
-             "a positive number"),
+            ("temperature", _is_finite(self.temperature) and self.temperature > 0,
+             "a finite positive number"),
             ("top_k", self.top_k is None or _is_int(self.top_k, 1), "an integer >= 1 or null"),
             ("use_clm", isinstance(self.use_clm, bool), "true or false"),
             ("is_components", isinstance(self.is_components, (list, tuple))
@@ -78,12 +79,14 @@ class DistillConfig:
             ), "a list of [teacher_layer, student_layer] block indices >= 0"),
             ("is_loss_fn", self.is_loss_fn in IS_LOSSES, f"one of {IS_LOSSES}"),
             ("alpha_mode", self.alpha_mode in ("dynamic", "constant"), "'dynamic' or 'constant'"),
-            ("alpha_const", _is_number(self.alpha_const), "a number"),
+            ("alpha_const", _is_finite(self.alpha_const), "a finite number"),
         ):
             if not ok:
                 raise ConfigError(f"{name} must be {want}, got {getattr(self, name)!r}")
         if not self.use_clm and self.logit_loss is None and not self.is_components:
             raise ConfigError("config enables no loss terms")
+        if self.is_components and self.logit_loss is None and self.alpha_mode == "dynamic":
+            raise ConfigError("dynamic alpha is L_logits / L_is, so it needs a logit_loss")
         mapped = [c for c in ("o", "i", "att") if c in self.is_components]
         if mapped and not self.layer_map:
             raise ConfigError(f"components {mapped} need a teacher:student layer_map")
@@ -127,20 +130,6 @@ def for_depths(cfg: DistillConfig, teacher_layers: int, student_layers: int) -> 
         return cfg
     return replace(cfg, is_components=("emb", "o"), layer_map=cfg.layer_map
                    or default_layer_map(teacher_layers, student_layers))
-
-
-class SharedProjection:
-    """One trainable ``[d_student, d_teacher]`` matrix upscaling every mapped
-    student state; starts as the truncated identity."""
-
-    def __init__(self, d_student: int, d_teacher: int, dtype=np.float32):
-        eye = np.zeros((d_student, d_teacher), dtype=dtype)
-        n = min(d_student, d_teacher)
-        eye[np.arange(n), np.arange(n)] = 1.0
-        self.matrix = Tensor(eye, requires_grad=True)
-
-    def apply(self, states: Tensor) -> Tensor:
-        return ad.matmul(states, self.matrix)
 
 
 def logit_loss(targets: dict, student_logits: Tensor, cfg: DistillConfig) -> Tensor:
@@ -224,10 +213,11 @@ def _mapped_sites(cfg: DistillConfig, col: int) -> list[tuple[str, tuple[str, in
     return sites
 
 
-def intermediate_loss(teacher_states: list, student_acts: dict, projection: SharedProjection,
+def intermediate_loss(teacher_states: list, student_acts: dict, projection: Tensor,
                       cfg: DistillConfig, d_head: int) -> Tensor:
     """Sum of the chosen component losses over all mapped layer pairs: the
-    student's states at :func:`_mapped_sites` against the ``states`` of
+    student's states at :func:`_mapped_sites`, times the ``[d_student,
+    d_teacher]`` ``projection``, against the ``states`` of
     :func:`teacher_targets`; att is row-wise KL whatever ``is_loss_fn``."""
     terms: list[Tensor] = []
     for target, (comp, key) in zip(teacher_states, _mapped_sites(cfg, 1), strict=True):
@@ -236,7 +226,8 @@ def intermediate_loss(teacher_states: list, student_acts: dict, projection: Shar
         if comp == "att":
             terms += [_relation_kld(*t, s, d_head) for t, s in zip(target, student_acts[key])]
         else:
-            terms.append(_state_loss(*target, projection.apply(student_acts[key]), cfg.is_loss_fn))
+            terms.append(_state_loss(*target, ad.matmul(student_acts[key], projection),
+                                     cfg.is_loss_fn))
     if not terms:
         raise ConfigError("intermediate_loss called with no components selected")
     return reduce(ad.add, terms)
@@ -268,7 +259,8 @@ def teacher_targets(teacher: Model, batch: np.ndarray, cfg: DistillConfig) -> di
     norms = lambda x: np.linalg.norm(x, axis=-1).astype(x.dtype)  # what cosine reads of x
     targets: dict = {"shape": logits.shape, "states": []}
     if cfg.logit_loss is not None:
-        scaled, k, ids = logits.data / cfg.temperature, cfg.top_k, None
+        # Scaled as the student's logits are, so equal logits give equal rows.
+        scaled, k, ids = logits.data * (1.0 / cfg.temperature), cfg.top_k, None
         if k is not None and k < scaled.shape[-1]:
             ids = np.sort(np.argpartition(-scaled, k - 1, axis=-1)[..., :k], axis=-1)
             scaled = np.take_along_axis(scaled, ids, axis=-1)
@@ -299,7 +291,7 @@ def total_loss(
     targets: dict | None,
     student: Model,
     cfg: DistillConfig,
-    projection: SharedProjection | None = None,
+    projection: Tensor | None = None,
 ):
     """One training objective evaluation: the student's terms against
     ``targets``, the :func:`teacher_targets` of ``batch`` and ``cfg``.
@@ -323,7 +315,7 @@ def total_loss(
         components["loss_logits"] = terms[-1].item()
     if cfg.is_components:
         if projection is None:
-            raise ConfigError("intermediate components need a SharedProjection")
+            raise ConfigError("intermediate components need a projection")
         l_is = intermediate_loss(targets["states"], s_acts, projection, cfg, student.config.d_head)
         if cfg.alpha_mode == "constant":
             alpha = cfg.alpha_const
@@ -352,22 +344,15 @@ def cosine_lr(step: int, total_steps: int, lr_max: float, lr_min: float) -> floa
 
 @dataclass
 class TrainState:
-    """Optimizer moments plus schedule bookkeeping."""
+    """Adam's step count and per-parameter moments; the caller gives the rate."""
 
-    total_steps: int
-    lr_max: float
-    lr_min: float
     step: int = 0
-    tokens_seen: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
-    def lr(self) -> float:
-        return cosine_lr(self.step, self.total_steps, self.lr_max, self.lr_min)
-
-    def adam_update(self, params: dict[str, Tensor]) -> None:
-        """One Adam step per parameter with a gradient, which it drops."""
-        lr = self.lr()
+    def adam_update(self, params: dict[str, Tensor], lr: float) -> None:
+        """One Adam step at ``lr`` per parameter with a gradient, which it
+        drops; a parameter without one keeps its value and gets no moments."""
         t = self.step + 1
         for name, p in params.items():
             if p.grad is None:
@@ -418,32 +403,33 @@ def distill_loop(
     """Train ``student`` in place on ``cfg``'s objective, against a frozen
     ``teacher`` when the config has teacher terms (``teacher`` may be None
     otherwise). Returns that same student and its per-step metric
-    records. Gradients live only from ``backward`` to the update, and every
-    exit (a return or a :class:`DivergenceError`) drops them, so the
-    returned student carries weights only."""
+    records. It trains ``student.params`` by Adam at the :func:`cosine_lr`
+    rate of each step, plus, with intermediate components, one projection
+    shared by every mapped state that starts as the truncated identity.
+    Gradients live only from ``backward`` to the update, and every exit (a
+    return or a :class:`DivergenceError`) drops them, so the returned
+    student carries weights only."""
     check_train_args(steps, batch_size, seq_len, lr_max, lr_min, eval_every)
     if teacher is None and cfg.needs_teacher:
         raise ConfigError("logit and intermediate losses need a teacher")
     projection = None
-    trainable = dict(student.trainable())
+    trainable = dict(student.params)
     if cfg.is_components:
-        projection = SharedProjection(
-            student.config.d_model, teacher.config.d_model, dtype=student.dtype
-        )
-        trainable["shared_projection"] = projection.matrix
-    state = TrainState(total_steps=steps, lr_max=lr_max, lr_min=lr_min)
+        eye = np.eye(student.config.d_model, teacher.config.d_model, dtype=student.dtype)
+        trainable["shared_projection"] = projection = Tensor(eye, requires_grad=True)
+    state = TrainState()
     rng = np.random.default_rng(seed)
     metrics: list[dict] = []
     sink = open(metrics_path, "w", encoding="utf-8") if metrics_path else None
+    for p in trainable.values():
+        p.grad = None
     try:
         for step in range(steps):
             batch = sample_batch(data, rng, batch_size, seq_len)
-            for p in trainable.values():
-                p.grad = None
             targets = teacher_targets(teacher, batch, cfg)
             with ad.Tape():
                 loss, components = total_loss(batch, targets, student, cfg, projection)
-            lr = state.lr()
+            lr = cosine_lr(step, steps, lr_max, lr_min)
             if not math.isfinite(components["loss_total"]):
                 raise DivergenceError(
                     f"non-finite loss at step {step}",
@@ -457,9 +443,9 @@ def distill_loop(
                     f"non-finite gradient of {bad[0]} at step {step}",
                     state_dump={"step": step, "lr": lr, "param": bad[0], **components},
                 )
-            state.adam_update(trainable)
-            state.tokens_seen += batch_size * seq_len
-            entry = {"step": step, "lr": lr, "tokens": state.tokens_seen, **components}
+            state.adam_update(trainable, lr)
+            entry = {"step": step, "lr": lr, "tokens": (step + 1) * batch_size * seq_len,
+                     **components}
             if eval_data is not None and eval_every and (
                 (step + 1) % eval_every == 0 or step + 1 == steps
             ):

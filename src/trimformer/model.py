@@ -127,14 +127,8 @@ class Model:
             return self.params["embedding"]
         return self.params["lm_head"]
 
-    def trainable(self) -> dict[str, Tensor]:
-        return {k: v for k, v in self.params.items() if v.requires_grad}
-
     def copy(self) -> "Model":
-        params = {
-            k: Tensor(v.data.copy(), requires_grad=v.requires_grad)
-            for k, v in self.params.items()
-        }
+        params = {k: Tensor(v.data.copy(), requires_grad=True) for k, v in self.params.items()}
         return Model(self.config, params)
 
     def rope_tables(self, seq_len: int, heads: int):

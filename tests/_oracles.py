@@ -321,7 +321,7 @@ def teacher_in_loss_total_loss(batch, teacher, student, cfg, projection=None):
         if t.shape != tuple(s_logits.shape):
             raise ShapeError(f"teacher logits {t.shape} vs student {tuple(s_logits.shape)}")
         tau = cfg.temperature
-        t_scaled = t / tau
+        t_scaled = t * (1.0 / tau)
         s_scaled = ad.mul(s_logits, 1.0 / tau) if tau != 1.0 else s_logits
         if cfg.top_k is not None and cfg.top_k < t.shape[-1]:
             k = cfg.top_k
@@ -366,7 +366,7 @@ def teacher_in_loss_total_loss(batch, teacher, student, cfg, projection=None):
                     is_terms.append(ad.mean(ad.sub(Tensor._wrap(entropy), cross)))
                 continue
             t_state = t_acts[t_key].data
-            s_state = projection.apply(s_acts[s_key])
+            s_state = ad.matmul(s_acts[s_key], projection)
             if t_state.shape != tuple(s_state.shape):
                 raise ShapeError(f"teacher {t_state.shape} vs student {tuple(s_state.shape)}")
             if cfg.is_loss_fn == "cosine":

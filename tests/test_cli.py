@@ -54,6 +54,10 @@ def workdir(tmp_path_factory):
         "distill_list.json": {"distill": ["kld"]},
         "triple_layer_map.json": {"distill": {"is_components": ["o"], "layer_map": [[1, 2, 3]]}},
         "string_top_k.json": {"distill": {"top_k": "5"}},
+        "infinite_temperature.json": {"distill": {"temperature": math.inf}},
+        "nan_alpha_const.json": {"distill": {"alpha_const": math.nan}},
+        "infinite_alpha_const.json": {"distill": {"alpha_const": -math.inf}},
+        "is_without_logits.json": {"distill": {"logit_loss": None, "is_components": ["emb"]}},
         "float_width.json": {"model": {**MODEL, "d_model": 16.0}},
         "string_steps.json": {"model": MODEL, "train": {"steps": "3"}},
         "zero_batch.json": {"model": MODEL, "train": {"steps": 1, "batch_size": 0}},
@@ -235,6 +239,26 @@ CASES = {
     "distill_top_k_a_string": (
         "distill --teacher {d}/model.ckpt --student {d}/model.ckpt "
         "--config {d}/string_top_k.json --data {d}/corpus.txt --out {d}/o.ckpt",
+        "ConfigError",
+    ),
+    "distill_temperature_infinite": (
+        "distill --teacher {d}/model.ckpt --student {d}/model.ckpt "
+        "--config {d}/infinite_temperature.json --data {d}/corpus.txt --out {d}/o.ckpt",
+        "ConfigError",
+    ),
+    "distill_alpha_const_nan": (
+        "distill --teacher {d}/model.ckpt --student {d}/model.ckpt "
+        "--config {d}/nan_alpha_const.json --data {d}/corpus.txt --out {d}/o.ckpt",
+        "ConfigError",
+    ),
+    "distill_alpha_const_infinite": (
+        "distill --teacher {d}/model.ckpt --student {d}/model.ckpt "
+        "--config {d}/infinite_alpha_const.json --data {d}/corpus.txt --out {d}/o.ckpt",
+        "ConfigError",
+    ),
+    "distill_dynamic_alpha_without_logit_loss": (
+        "distill --teacher {d}/model.ckpt --student {d}/model.ckpt "
+        "--config {d}/is_without_logits.json --data {d}/corpus.txt --out {d}/o.ckpt",
         "ConfigError",
     ),
     "eval_zero_samples": (

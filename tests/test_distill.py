@@ -18,7 +18,6 @@ from trimformer.distill import (
     CLM_ONLY,
     LOGIT_LOSSES,
     DistillConfig,
-    SharedProjection,
     TrainState,
     conventional_loop,
     cosine_lr,
@@ -49,6 +48,11 @@ def t64(a):
     return Tensor(np.asarray(a, dtype=np.float64))
 
 
+def projection(d_student, d_teacher, dtype=np.float32):
+    """The shared projection as :func:`distill_loop` starts it."""
+    return Tensor(np.eye(d_student, d_teacher, dtype=dtype), requires_grad=True)
+
+
 def stand_in_targets(cfg, logits=np.zeros((1, 1, 2)), acts=None):
     """:func:`teacher_targets` of a stand-in teacher whose forward returns
     ``logits`` and the activations ``acts``."""
@@ -70,7 +74,7 @@ def test_logit_loss_zero_when_equal(loss_name, rng):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("top_k", [None, 4])
-@pytest.mark.parametrize("temperature", [1.0, 2.0])
+@pytest.mark.parametrize("temperature", [1.0, 2.0, 3.0, 0.7])
 def test_identical_logits_give_exactly_zero_divergence(dtype, top_k, temperature, rng):
     # Teacher and student log-probabilities come from one kernel, so equal
     # logits give bitwise-equal rows: kld and mse are exactly zero with an
@@ -171,7 +175,7 @@ def test_intermediate_zero_for_identical_models(rng):
     m = build_model(small_config(), seed=0, dtype=np.float64)
     toks = rng.integers(0, 19, size=(2, 6))
     rec_s = capture_all(m, toks)
-    proj = SharedProjection(16, 16, dtype=np.float64)
+    proj = projection(16, 16, dtype=np.float64)
     for loss_fn in ("cosine", "mse"):
         cfg = DistillConfig(
             is_components=("emb", "o", "i", "att"),
@@ -183,19 +187,13 @@ def test_intermediate_zero_for_identical_models(rng):
         assert abs(val) < 1e-12
 
 
-def test_shared_projection_truncated_identity():
-    proj = SharedProjection(3, 5)
-    assert np.array_equal(proj.matrix.data[:, :3], np.eye(3, dtype=np.float32))
-    assert np.array_equal(proj.matrix.data[:, 3:], np.zeros((3, 2), dtype=np.float32))
-
-
 def test_intermediate_cosine_scale_invariance(rng):
     m = build_model(small_config(), seed=1, dtype=np.float64)
     toks = rng.integers(0, 19, size=(1, 5))
     rec_t = capture_all(m, toks)
     m2 = build_model(small_config(), seed=2, dtype=np.float64)
     rec_s = capture_all(m2, toks)
-    proj = SharedProjection(16, 16, dtype=np.float64)
+    proj = projection(16, 16, dtype=np.float64)
     cfg = DistillConfig(is_components=("o",), layer_map=((0, 0),), is_loss_fn="cosine")
     states = stand_in_targets(cfg, acts=rec_t)["states"]
     base = intermediate_loss(states, rec_s, proj, cfg, d_head=4).item()
@@ -215,13 +213,13 @@ def test_intermediate_single_pair_matches_recompute(rng):
     toks = rng.integers(0, 19, size=(2, 5))
     rec_t = capture_all(teacher, toks)
     rec_s = capture_all(student, toks)
-    proj = SharedProjection(8, 16, dtype=np.float64)
+    proj = projection(8, 16, dtype=np.float64)
     cfg = DistillConfig(is_components=("o",), layer_map=((0, 0),), is_loss_fn="cosine")
     states = teacher_targets(teacher, toks, cfg)["states"]
     got = intermediate_loss(states, rec_s, proj, cfg, d_head=4).item()
     # straight-line: the layer-0 output state is the next block's first norm
     t_state = rec_t[("ln1", 1)].data
-    s_state = rec_s[("ln1", 1)].data @ proj.matrix.data
+    s_state = rec_s[("ln1", 1)].data @ proj.data
     cos = []
     for b in range(2):
         for i in range(5):
@@ -241,7 +239,7 @@ def test_intermediate_layer_map_past_last_block():
     m = build_model(small_config(), seed=5)
     toks = np.zeros((1, 4), dtype=int)
     acts = capture_all(m, toks)
-    proj = SharedProjection(16, 16)
+    proj = projection(16, 16)
 
     def loss(layer_map):
         cfg = DistillConfig(is_components=("o",), layer_map=layer_map)
@@ -260,7 +258,7 @@ def test_intermediate_dimension_mismatch():
     toks = np.zeros((1, 4), dtype=int)
     rec_t = capture_all(teacher, toks)
     rec_s = capture_all(student, toks)
-    wrong = SharedProjection(8, 12)  # teacher is 16 wide
+    wrong = projection(8, 12)  # teacher is 16 wide
     cfg = DistillConfig(is_components=("emb",))
     states = stand_in_targets(cfg, acts=rec_t)["states"]
     with pytest.raises(ShapeError):
@@ -298,7 +296,7 @@ def full_cfg(**kw):
 
 def test_total_loss_components_sum(rng):
     teacher, student = make_pair()
-    proj = SharedProjection(8, 16, dtype=np.float64)
+    proj = projection(8, 16, dtype=np.float64)
     batch = rng.integers(0, 19, size=(2, 6))
     targets = teacher_targets(teacher, batch, full_cfg())
     loss, comps = total_loss(batch, targets, student, full_cfg(), proj)
@@ -318,7 +316,7 @@ def test_total_loss_logits_only(rng):
 
 def test_total_loss_constant_alpha(rng):
     teacher, student = make_pair(seed=3)
-    proj = SharedProjection(8, 16, dtype=np.float64)
+    proj = projection(8, 16, dtype=np.float64)
     batch = rng.integers(0, 19, size=(2, 6))
     cfg = full_cfg(alpha_mode="constant", alpha_const=0.37)
     _, comps = total_loss(batch, teacher_targets(teacher, batch, cfg), student, cfg, proj)
@@ -329,7 +327,7 @@ def test_total_loss_zero_is_warns_and_zeroes_alpha(rng):
     # identical models with mse state loss: L_is is exactly zero
     m = build_model(small_config(), seed=4, dtype=np.float64)
     batch = rng.integers(0, 19, size=(1, 5))
-    proj = SharedProjection(16, 16, dtype=np.float64)
+    proj = projection(16, 16, dtype=np.float64)
     cfg = full_cfg(is_loss_fn="mse", is_components=("i",), use_clm=False)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -342,7 +340,7 @@ def test_total_loss_gradient_matches_fd(rng):
     # Every student parameter plus the shared projection, all loss terms on,
     # alpha pinned to its step value exactly as the training update does.
     teacher, student = make_pair(seed=5)
-    proj = SharedProjection(8, 16, dtype=np.float64)
+    proj = projection(8, 16, dtype=np.float64)
     batch = rng.integers(0, 19, size=(1, 5))
     targets = teacher_targets(teacher, batch, full_cfg())
     _, comps = total_loss(batch, targets, student, full_cfg(), proj)
@@ -355,8 +353,7 @@ def test_total_loss_gradient_matches_fd(rng):
     with Tape():
         loss = compute()
     ad.backward(loss)
-    params = dict(student.trainable())
-    params["projection"] = proj.matrix
+    params = {**student.params, "projection": proj}
     oracle.check_fd(lambda: compute().item(), params, h=1e-5, tol=1e-4)
 
 
@@ -369,7 +366,7 @@ def test_dynamic_alpha_is_zero_on_rounding_noise():
     teacher = build_model(config, seed=0)
     student = build_model(config.with_(num_layers=1), seed=0)
     cfg = for_depths(DistillConfig(), 2, 1)
-    proj = SharedProjection(16, 16)
+    proj = projection(16, 16)
     rng = np.random.default_rng(0)
     noise = []
     for _ in range(6):
@@ -420,8 +417,8 @@ def test_total_loss_equals_the_teacher_in_loss_reference(
         logit_loss=loss_name, top_k=top_k, temperature=temperature, use_clm=True,
         layer_map=((1, 0),), **COMPONENTS[components],
     )
-    proj = SharedProjection(8, 16, dtype=dtype)
-    params = {**student.trainable(), "projection": proj.matrix}
+    proj = projection(8, 16, dtype=dtype)
+    params = {**student.params, "projection": proj}
     batch = rng.integers(0, 19, size=(2, 6))
     want = loss_and_grads(
         lambda: oracle.teacher_in_loss_total_loss(batch, teacher, student, cfg, proj), params
@@ -472,12 +469,12 @@ def test_one_targets_value_serves_a_width_and_a_depth_cut(corpus, monkeypatch):
 
     def step(student, targets, cfg):
         student = student.copy()
-        params = dict(student.trainable())
-        proj = SharedProjection(student.config.d_model, 16) if cfg.is_components else None
-        if proj:
-            params["projection"] = proj.matrix
+        params = dict(student.params)
+        proj = projection(student.config.d_model, 16) if cfg.is_components else None
+        if proj is not None:
+            params["projection"] = proj
         got = loss_and_grads(lambda: total_loss(batch, targets, student, cfg, proj), params)
-        TrainState(total_steps=2, lr_max=1e-3, lr_min=1e-5).adam_update(params)
+        TrainState().adam_update(params, 1e-3)
         return got, {k: p.data.tobytes() for k, p in params.items()}
 
     for student, cfg in zip(students, cfgs):
@@ -571,23 +568,23 @@ def test_training_steps_free_their_graphs_without_gc(corpus, toy_config):
 
 
 def test_conventional_loop_matches_straight_line_reference(corpus):
-    """The reference is LM-loss Adam training written out step by step."""
+    """The reference is LM-loss Adam training written out step by step; the
+    records log each step's cosine rate and the tokens seen through it."""
     config = small_config(vocab_size=257, max_seq_len=64)
     model, metrics = conventional_loop(build_model(config, seed=9), corpus, steps=8, seed=1)
 
     ref = build_model(config, seed=9)
-    params = ref.trainable()
-    state = TrainState(total_steps=8, lr_max=1e-3, lr_min=1e-5)
+    state = TrainState()
     rng = np.random.default_rng(1)
     for step in range(8):
         batch = sample_batch(corpus, rng, 8, 32)
-        for p in params.values():
-            p.grad = None
         with Tape():
             loss = lm_loss(ref, batch)
         ad.backward(loss)
-        state.adam_update(params)
+        lr = cosine_lr(step, 8, 1e-3, 1e-5)
+        state.adam_update(ref.params, lr)
         assert metrics[step]["loss_total"] == metrics[step]["loss_clm"] == loss.item()
+        assert metrics[step]["lr"] == lr and metrics[step]["tokens"] == (step + 1) * 8 * 32
     assert len(metrics) == 8
     for k in ref.params:
         assert np.array_equal(model.params[k].data, ref.params[k].data)
@@ -601,13 +598,13 @@ def test_adam_update_equals_the_straight_line_expression(order):
     start = rng.normal(size=(6, 5)).astype(np.float32)
     p = Tensor(start.copy(), requires_grad=True)
     shared = p.data
-    state = TrainState(total_steps=3, lr_max=1e-2, lr_min=1e-3)
+    state = TrainState()
     ref, m, v = start, np.zeros_like(start), np.zeros_like(start)
     for t in (1, 2, 3):
         g = np.asarray(rng.normal(size=start.shape).astype(np.float32), order=order)
-        lr = state.lr()
+        lr = cosine_lr(t - 1, 3, 1e-2, 1e-3)
         p.grad = g
-        state.adam_update({"w": p})
+        state.adam_update({"w": p}, lr)
         m = BETA1 * m + (1 - BETA1) * g
         v = BETA2 * v + (1 - BETA2) * (g * g)
         ref = ref - lr * (m / (1 - BETA1**t)) / (np.sqrt(v / (1 - BETA2**t)) + ADAM_EPS)
@@ -616,10 +613,50 @@ def test_adam_update_equals_the_straight_line_expression(order):
     assert np.array_equal(shared, start)  # the first parameter array was never written
 
 
+def test_frozen_parameter_is_left_alone(corpus, monkeypatch):
+    # A parameter that asks for no gradient gets none, so Adam neither moves
+    # it nor keeps moments for it.
+    config = small_config(vocab_size=257, max_seq_len=64)
+    teacher, student = build_model(config, seed=6), build_model(config, seed=7)
+    frozen = student.params["layers.0.mlp.w1"]
+    frozen.requires_grad = False
+    before = frozen.data.copy()
+    real_update, states = TrainState.adam_update, []
+
+    def adam_update(self, params, lr):
+        states.append(self)
+        real_update(self, params, lr)
+
+    monkeypatch.setattr(TrainState, "adam_update", adam_update)
+    student, _ = distill_loop(teacher, student, corpus, DistillConfig(), steps=2,
+                              batch_size=2, seq_len=8)
+    assert frozen.data.tobytes() == before.tobytes()
+    assert "layers.0.mlp.w1" not in states[-1].m and "layers.0.mlp.w2" in states[-1].m
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_loop_starts_the_projection_at_the_truncated_identity(corpus, monkeypatch, dtype):
+    config = small_config(vocab_size=257, max_seq_len=64)
+    teacher = build_model(config, seed=6, dtype=dtype)
+    student = build_model(config.with_(d_model=8, num_heads=2, d_hidden=16), seed=7, dtype=dtype)
+    real_loss, seen = distill.total_loss, []
+
+    def total_loss(*args):
+        seen.append(args[-1].data.copy())
+        return real_loss(*args)
+
+    monkeypatch.setattr(distill, "total_loss", total_loss)
+    cfg = DistillConfig(is_components=("emb",))
+    distill_loop(teacher, student, corpus, cfg, steps=2, batch_size=2, seq_len=8)
+    assert seen[0].dtype == dtype and np.array_equal(seen[0], np.eye(8, 16))
+    assert not np.array_equal(seen[1], seen[0])  # trained
+
+
 def test_loop_without_teacher_rejects_teacher_terms(corpus):
     student = build_model(small_config(vocab_size=257, max_seq_len=64), seed=9)
-    for cfg in (DistillConfig(), DistillConfig(logit_loss=None, is_components=("emb",))):
-        with pytest.raises(ConfigError):
+    only_is = DistillConfig(logit_loss=None, is_components=("emb",), alpha_mode="constant")
+    for cfg in (DistillConfig(), only_is):
+        with pytest.raises(ConfigError, match="need a teacher"):
             distill_loop(None, student, corpus, cfg, steps=1)
 
 
@@ -664,7 +701,7 @@ def test_non_finite_gradient_aborts_before_the_update(corpus, monkeypatch):
     teacher = build_model(small_config(vocab_size=257, max_seq_len=64), seed=15)
     student = build_model(small_config(vocab_size=257, max_seq_len=64), seed=16)
     before = {k: v.data.copy() for k, v in student.params.items()}
-    names = list(student.trainable())
+    names = list(student.params)
     real_backward = ad.backward
 
     def backward(loss):
@@ -765,6 +802,16 @@ def test_backward_peak_stays_near_the_live_forward(corpus, monkeypatch):
     assert marks["peak"] - marks["live"] < 0.25 * graph, marks
 
 
+def test_dynamic_alpha_needs_a_logit_loss():
+    # Dynamic alpha is L_logits / L_is: without a logit loss it is always 0
+    # and the intermediate terms would silently train nothing.
+    for use_clm in (False, True):
+        with pytest.raises(ConfigError, match="dynamic alpha"):
+            DistillConfig(logit_loss=None, use_clm=use_clm, is_components=("emb",))
+        DistillConfig(logit_loss=None, use_clm=use_clm, is_components=("emb",),
+                      alpha_mode="constant")
+
+
 def test_config_roundtrips_and_validates():
     cfg = full_cfg(top_k=5)
     assert DistillConfig.from_dict(cfg.to_dict()) == cfg
@@ -785,6 +832,10 @@ def test_config_roundtrips_and_validates():
         {"top_k": 2.5},
         {"top_k": 0},
         {"alpha_const": "x"},
+        {"alpha_const": math.nan},
+        {"alpha_const": math.inf},
+        {"temperature": math.inf},
+        {"temperature": math.nan},
         {"use_clm": "yes"},
         {"temperature": "1"},
         {"is_components": "emb"},

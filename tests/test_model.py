@@ -293,7 +293,7 @@ def test_full_transformer_gradient_vs_finite_differences():
         loss = lm_loss(m, toks)
     ad.backward(loss)
     worst = oracle.check_fd(
-        lambda: lm_loss(m, toks).item(), m.trainable(), h=1e-5, tol=1e-4
+        lambda: lm_loss(m, toks).item(), m.params, h=1e-5, tol=1e-4
     )
     assert worst < 1e-4
 
