@@ -15,14 +15,13 @@ log-probability from one other, :func:`_log_softmax_rows`; the numpy-side
 teacher terms of distillation call them too. Both shift by :func:`_row_max`.
 
 Recording model: ops run eagerly on numpy arrays. When a :class:`Tape` is
-active on the current thread *and* an input participates in the graph, the
+active *and* an input participates in the graph, the
 op appends a node (parent nodes, backward closure) to the tape. Nodes hold
 no tensors and a closure only the arrays its backward reads, so activations
 nothing reads die with their last caller reference, and backward frees each
 node as it consumes it. Gradients land on leaves only (parameters and other
 untaped ``requires_grad`` tensors). Without an active tape nothing is
-recorded, so forward-only callers pay no gradient bookkeeping. One tape per
-training context; contexts on different threads are independent.
+recorded, so forward-only callers pay no gradient bookkeeping.
 
 Reductions use numpy's sequential deterministic order, so identical inputs
 produce bit-identical outputs within one build.
@@ -32,13 +31,12 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 
 import numpy as np
 
 from .errors import DataError, ShapeError, TapeError
 
-_state = threading.local()
+_tape = None  # the tape ops record onto: set by Tape, hidden by no_grad
 
 # Monotone count of nodes ever recorded; lets tests assert that forward-only
 # code paths (importance estimation) never touch the gradient machinery.
@@ -50,7 +48,7 @@ def nodes_recorded_total() -> int:
 
 
 def active_tape():
-    return getattr(_state, "tape", None)
+    return _tape
 
 
 class Tensor:
@@ -123,13 +121,13 @@ class Tape:
         self._prev = None
 
     def __enter__(self):
-        self._prev = active_tape()
-        _state.tape = self
+        global _tape
+        self._prev, _tape = _tape, self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _state.tape = self._prev
-        self._prev = None
+        global _tape
+        _tape, self._prev = self._prev, None
         return False
 
     def _backward(self, loss: Tensor) -> None:
@@ -174,12 +172,13 @@ class no_grad:
     """Context that hides the active tape, e.g. for teacher forward passes."""
 
     def __enter__(self):
-        self._prev = active_tape()
-        _state.tape = None
+        global _tape
+        self._prev, _tape = _tape, None
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _state.tape = self._prev
+        global _tape
+        _tape = self._prev
         return False
 
 
@@ -200,7 +199,7 @@ def backward(loss: Tensor) -> None:
 
 def _make(out_data, inputs, fn) -> Tensor:
     out = Tensor._wrap(out_data)
-    tape = active_tape()
+    tape = _tape
     if tape is not None and any(t.requires_grad for t in inputs):
         global _nodes_recorded
         out.requires_grad = True
@@ -615,6 +614,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _make(out, (x, gamma, beta), fn)
 
 
+@functools.lru_cache(maxsize=8)
+def _half_swap(width: int) -> np.ndarray:
+    """Index that exchanges the two halves of a ``width``-wide axis."""
+    half = width // 2
+    return np.r_[half : 2 * half, :half]
+
+
 def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     """Rotary position transform with half-split pairing: ``x·cos +
     swap(x)·sin``, where ``swap`` exchanges the halves of the last axis.
@@ -623,8 +629,7 @@ def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     into sin's first half (:meth:`Model.rope_tables`). The map is linear in
     ``x``, so the backward pass is its transpose, ``g·cos + swap(g·sin)``.
     """
-    half = x.data.shape[-1] // 2
-    swap = np.r_[half : 2 * half, :half]
+    swap = _half_swap(x.data.shape[-1])
     out = x.data.take(swap, axis=-1)
     out *= sin
     out += x.data * cos

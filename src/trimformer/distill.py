@@ -362,13 +362,23 @@ class TrainState:
                 self.m[name] = np.zeros_like(p.data)
                 self.v[name] = np.zeros_like(p.data)
             m, v = self.m[name], self.v[name]
+            # Two scratch arrays in m's memory order; g is never written.
+            a, b = np.empty_like(m), np.empty_like(m)
             m *= BETA1
-            m += (1 - BETA1) * g
+            m += np.multiply(g, 1 - BETA1, out=a)
             v *= BETA2
-            v += (1 - BETA2) * (g * g)
-            step = lr * (m / (1 - BETA1**t)) / (np.sqrt(v / (1 - BETA2**t)) + ADAM_EPS)
+            np.multiply(g, g, out=b)
+            b *= 1 - BETA2
+            v += b
+            # lr * (m / c1) / (sqrt(v / c2) + eps), one operation at a time.
+            np.divide(m, 1 - BETA1**t, out=a)
+            a *= lr
+            np.divide(v, 1 - BETA2**t, out=b)
+            np.sqrt(b, out=b)
+            b += ADAM_EPS
+            a /= b
             # A fresh array: the old p.data may be shared with another model.
-            p.data = np.subtract(p.data, step, out=step)
+            p.data = np.subtract(p.data, a, out=a)
         self.step = t
 
 

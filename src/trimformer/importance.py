@@ -10,8 +10,8 @@ removal resumes from the chunk's own block input, so a chunk of at most 32
 samples runs one forward plus ``L`` resumed ones (``L + L(L-1)/2`` blocks),
 and no block input outlives its chunk. Width activations are reduced in
 float64 as they are produced; the removal NLLs are the chunks' mean NLLs
-weighted by their share of the samples. No API here ever records onto a
-gradient tape — callers inside a tape context get an error.
+weighted by their share of the samples. The pass hides any active gradient
+tape with :class:`autodiff.no_grad`, as the distillation teacher does.
 
 Per-head and per-neuron scores are ranked within their own layer; embedding
 channel scores are aggregated per LayerNorm site and then summed across all
@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,13 +80,6 @@ class AggregationSpec:
     @classmethod
     def from_dict(cls, d):
         return cls(**d)
-
-
-def _require_no_tape(op: str) -> None:
-    if ad.active_tape() is not None:
-        raise ConfigError(
-            f"{op} is forward-only and must not run under an active gradient tape"
-        )
 
 
 def _cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -159,11 +153,17 @@ class ImportanceReport:
                                     "and a finite numeric score")
                 return (e["start"], e["length"]), e["score"]
 
+            checksum = d["calibration_checksum"]
+            if not (isinstance(checksum, str) and re.fullmatch("[0-9a-f]{64}", checksum)):
+                raise ValueError(f"calibration_checksum {checksum!r} is not a sha256 hex digest")
+            blocks = [block(e) for e in d.get("block_bi", [])]
+            if len(dict(blocks)) < len(blocks):
+                raise ValueError("block_bi repeats a (start, length) pair")
             return cls(
                 **{name: scores(name) for name in _SCORE_FIELDS},
-                block_bi_scores=dict(block(e) for e in d.get("block_bi", [])),
+                block_bi_scores=dict(blocks),
                 agg=AggregationSpec.from_dict(d["aggregation"]),
-                calibration_checksum=d["calibration_checksum"],
+                calibration_checksum=checksum,
             )
         except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as e:
             raise DataError(f"malformed importance report: {e!r}") from e
@@ -205,7 +205,6 @@ def compute_importance_report(
     ``L + L(L-1)/2`` blocks. Each chunk's mean NLL is weighted by its share
     of the samples, and a removal scores ``exp(NLL_i)``.
     """
-    _require_no_tape("compute_importance_report")
     spec = spec or AggregationSpec()
     cfg = model.config
     num_layers = cfg.num_layers
@@ -240,14 +239,15 @@ def compute_importance_report(
         return None
 
     n = calib.shape[0]
-    for i in range(0, n, _CHUNK):
-        chunk = calib[i : i + _CHUNK]
-        _, inputs = forward(model, chunk, tap=tap)
-        for (a, b), rows in cosines.items():
-            rows.append(_cosine_rows(inputs[("x", a)].data, inputs[("x", b)].data))
-        for layer in removals:
-            logits, _ = forward(model, chunk, start=(layer + 1, inputs[("x", layer)]))
-            nll[layer] += len(chunk) / n * ad.cross_entropy(logits, chunk[:, 1:]).item()
+    with ad.no_grad():
+        for i in range(0, n, _CHUNK):
+            chunk = calib[i : i + _CHUNK]
+            _, inputs = forward(model, chunk, tap=tap)
+            for (a, b), rows in cosines.items():
+                rows.append(_cosine_rows(inputs[("x", a)].data, inputs[("x", b)].data))
+            for layer in removals:
+                logits, _ = forward(model, chunk, start=(layer + 1, inputs[("x", layer)]))
+                nll[layer] += len(chunk) / n * ad.cross_entropy(logits, chunk[:, 1:]).item()
 
     def per_layer(site, count):
         return [_apply_agg(spec.batch_fn, np.concatenate(parts), axis=0)

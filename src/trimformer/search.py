@@ -96,8 +96,9 @@ class Candidate:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Candidate":
-        """Checked: a string label, the config's own parameter counts, a null
-        or finite eval loss, and ``[step >= 0, finite loss]`` trajectory points."""
+        """Checked: a string label, the config's own parameter counts, and
+        ``[step >= 0, finite loss]`` trajectory points at increasing steps
+        whose last loss is the eval loss (null without points)."""
         config = ModelConfig.from_dict(d["config"])
         if not isinstance(d["label"], str):
             raise TypeError(f"candidate label must be a string, got {d['label']!r}")
@@ -112,6 +113,11 @@ class Candidate:
             if not (len(point) == 2 and _is_int(point[0], 0) and _is_finite(point[1])):
                 raise ValueError(f"{d['label']}: eval_trajectory point {list(point)!r} "
                                  "must be [step >= 0, finite loss]")
+        if any(a[0] >= b[0] for a, b in zip(trajectory, trajectory[1:])):
+            raise ValueError(f"{d['label']}: eval_trajectory steps must increase")
+        if eval_loss != (trajectory[-1][1] if trajectory else None):
+            raise ValueError(f"{d['label']}: eval_loss {eval_loss!r} is not the last loss "
+                             "of its eval_trajectory (null without one)")
         return cls(config, d["total_params"], d["non_embedding_params"], d["label"],
                    eval_loss, trajectory)
 
@@ -160,6 +166,9 @@ class CandidateSet:
                 count_mode=a["count_mode"],
                 candidates=[Candidate.from_dict(c) for c in d["candidates"]],
             )
+            labels = [c.label for c in result.candidates]
+            if len(set(labels)) < len(labels):
+                raise ValueError(f"candidate labels repeat: {labels}")
             # Compared as JSON text, so 257.0 or 0 does not pass for 257 or false.
             want = result.assumptions()
             if json.dumps(a, sort_keys=True) != json.dumps(want, sort_keys=True):

@@ -124,13 +124,15 @@ def workdir(tmp_path_factory):
     counts = count_params(shallow)
     first, second = ({
         "label": label, "config": shallow.to_dict(), "total_params": counts.total,
-        "non_embedding_params": counts.non_embedding, "eval_loss": 1.0, "eval_trajectory": [],
+        "non_embedding_params": counts.non_embedding, "eval_loss": 1.0,
+        "eval_trajectory": [[0, 1.0]],
     } for label in ("first", "second"))
     manifest["candidates"] = [first, second]
     for name, edit in (
         ("string_eval_loss", {"eval_loss": "low"}),
         ("nan_eval_loss", {"eval_loss": math.nan}),
-        ("wrong_total_params", {"eval_loss": None, "total_params": counts.total + 1}),
+        ("wrong_total_params", {"eval_loss": 1.0, "total_params": counts.total + 1}),
+        ("repeated_label", {"total_params": counts.total, "label": "second"}),
     ):
         first.update(edit)
         (d / f"{name}.json").write_text(json.dumps(manifest))
@@ -333,6 +335,11 @@ CASES = {
     "candidates_total_params_wrong": (
         "prune --ckpt {d}/model.ckpt --candidates {d}/wrong_total_params.json "
         "--remove-layers 1 --out {d}/o.ckpt",
+        "DataError",
+    ),
+    "candidates_label_repeated": (
+        "prune --ckpt {d}/model.ckpt --candidates {d}/repeated_label.json --pick second "
+        "--out {d}/o.ckpt",
         "DataError",
     ),
     "model_tie_embeddings_a_string": (

@@ -487,14 +487,18 @@ def test_block_bi_range_errors():
 # ---------------------------------------------------------------- tape guard
 
 
-def test_importance_refuses_active_tape():
+def test_importance_under_an_active_tape_records_nothing():
+    # The pass hides the caller's tape, as the teacher's forward does: the
+    # report is the tape-free one and the tape is left as it was.
     m = small_model()
     calib = toks(2, 6)
-    with ad.Tape():
-        with pytest.raises(ConfigError):
-            compute_importance_report(m, calib, AggregationSpec()).head_scores
-        with pytest.raises(ConfigError):
-            compute_importance_report(m, calib, include_ppl=False)
+    want = compute_importance_report(m, calib, blocks=[(0, 2)]).to_json()
+    before = ad.nodes_recorded_total()
+    with ad.Tape() as tape:
+        got = compute_importance_report(m, calib, blocks=[(0, 2)]).to_json()
+        assert ad.active_tape() is tape
+    assert got == want
+    assert tape.nodes == [] and ad.nodes_recorded_total() == before
 
 
 def test_importance_records_no_tape_nodes():
@@ -548,6 +552,26 @@ def test_report_scores_must_be_finite_numbers(field, bad):
         d[field][0][0] = bad
     else:
         d[field][0] = bad
+    with pytest.raises(DataError):
+        ImportanceReport.from_json(json.dumps(d))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.update(calibration_checksum=123),
+    lambda d: d.update(calibration_checksum=[1, 2]),
+    lambda d: d.update(calibration_checksum=d["calibration_checksum"].upper()),
+    lambda d: d.update(calibration_checksum=d["calibration_checksum"][:-1]),
+    lambda d: d.update(calibration_checksum="g" * 64),
+    lambda d: d["block_bi"].append(dict(d["block_bi"][0], score=0.5)),
+], ids=["int_checksum", "list_checksum", "uppercase_checksum", "short_checksum",
+        "non_hex_checksum", "repeated_block"])
+def test_report_checksum_and_block_keys_are_checked(edit):
+    # The checksum is a sha256 hex digest; a repeated block_bi (start, length)
+    # would silently replace the first.
+    text = compute_importance_report(small_model(), toks(2, 6), blocks=[(0, 2)]).to_json()
+    assert ImportanceReport.from_json(text).to_json() == text
+    d = json.loads(text)
+    edit(d)
     with pytest.raises(DataError):
         ImportanceReport.from_json(json.dumps(d))
 

@@ -149,6 +149,12 @@ def test_manifest_assumptions_follow_the_enumeration_rules(key, value):
     ("eval_trajectory", [[0, math.nan]]),
     ("eval_trajectory", [[0]]),
     ("eval_trajectory", [[0, 1.0, 2]]),
+    ("eval_loss", 1.0),
+    ("eval_loss", None),
+    ("eval_trajectory", []),
+    ("eval_trajectory", [[3, 1.0], [1, 2.5]]),
+    ("eval_trajectory", [[2, 3.0], [2, 2.5]]),
+    ("label", "the next candidate's"),
 ])
 def test_manifest_candidates_are_checked(key, value):
     space = SearchSpace((1, 2), (2, 4), (8.0,), (8, 16), d_head=4, vocab_size=257,
@@ -164,6 +170,8 @@ def test_manifest_candidates_are_checked(key, value):
         value = cand[key] + 1
     elif value == "count.0":
         value = float(cand[key])
+    elif value == "the next candidate's":
+        value = manifest["candidates"][1][key]
     cand[key] = value
     with pytest.raises(DataError):
         CandidateSet.from_json(json.dumps(manifest))
