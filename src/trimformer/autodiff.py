@@ -37,6 +37,7 @@ import numpy as np
 from .errors import DataError, ShapeError, TapeError
 
 _tape = None  # the tape ops record onto: set by Tape, hidden by no_grad
+LN_EPS = 1e-5  # added to the variance in every layer_norm
 
 # Monotone count of nodes ever recorded; lets tests assert that forward-only
 # code paths (importance estimation) never touch the gradient machinery.
@@ -581,10 +582,8 @@ def log_softmax(a: Tensor) -> Tensor:
     return _make(out, (a,), fn)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
-    if eps <= 0:
-        raise ShapeError("layer_norm eps must be positive")
     d = x.data.shape[-1]
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ShapeError("layer_norm parameter extents do not match input width")
@@ -592,7 +591,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     # place, and the square buffer becomes the output.
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)
     out = np.square(xhat)
-    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + np.asarray(eps, dtype=x.data.dtype))
+    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + np.asarray(LN_EPS, dtype=x.data.dtype))
     xhat *= inv
     np.multiply(xhat, gamma.data, out=out)
     out += beta.data
@@ -614,30 +613,31 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _make(out, (x, gamma, beta), fn)
 
 
-@functools.lru_cache(maxsize=8)
-def _half_swap(width: int) -> np.ndarray:
-    """Index that exchanges the two halves of a ``width``-wide axis."""
-    half = width // 2
-    return np.r_[half : 2 * half, :half]
+def _swap_halves(x: np.ndarray) -> np.ndarray:
+    """A fresh copy of ``x`` with the two halves of its last axis exchanged."""
+    half = x.shape[-1] // 2
+    return np.concatenate((x[..., half:], x[..., :half]), axis=-1)
 
 
 def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
-    """Rotary position transform with half-split pairing: ``x·cos +
-    swap(x)·sin``, where ``swap`` exchanges the halves of the last axis.
-
-    ``cos``/``sin`` broadcast against ``x``, with the rotation's sign folded
-    into sin's first half (:meth:`Model.rope_tables`). The map is linear in
-    ``x``, so the backward pass is its transpose, ``g·cos + swap(g·sin)``.
+    """Rotary transform ``x·cos + swap(x)·sin``, swapping each head's halves,
+    of a ``[B, S, heads·d]`` projection as :func:`linear` returns it, into
+    ``[B, S, heads, d]``. ``cos``/``sin`` are ``[S, heads, d]``, with the
+    rotation's sign folded into sin's first half (:meth:`Model.rope_tables`).
+    The backward is the map's transpose, ``g·cos + swap(g·sin)``, in x's shape.
     """
-    swap = _half_swap(x.data.shape[-1])
-    out = x.data.take(swap, axis=-1)
+    (s, heads, d), shape = cos.shape, x.shape
+    if shape != shape[:1] + (s, heads * d) or sin.shape != cos.shape:
+        raise ShapeError(f"rope of {shape} by tables {cos.shape} and {sin.shape}")
+    xh = x.data.reshape(-1, s, heads, d)
+    out = _swap_halves(xh)
     out *= sin
-    out += x.data * cos
+    out += xh * cos
 
     def fn(g):
-        dx = (g * sin).take(swap, axis=-1)
+        dx = _swap_halves(g * sin)
         dx += g * cos
-        return (dx,)
+        return (dx.reshape(shape),)
 
     return _make(out, (x,), fn)
 

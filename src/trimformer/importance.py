@@ -148,19 +148,24 @@ class ImportanceReport:
 
             def block(e):
                 if not (_is_int(e["start"], 0) and _is_int(e["length"], 1)
-                        and _is_finite(e["score"])):
+                        and e["start"] + e["length"] <= depth and _is_finite(e["score"])):
                     raise TypeError(f"block_bi entry {e!r} needs integer start and length "
-                                    "and a finite numeric score")
+                                    f"inside the report's {depth} layers and a finite score")
                 return (e["start"], e["length"]), e["score"]
 
             checksum = d["calibration_checksum"]
             if not (isinstance(checksum, str) and re.fullmatch("[0-9a-f]{64}", checksum)):
                 raise ValueError(f"calibration_checksum {checksum!r} is not a sha256 hex digest")
+            tables = {name: scores(name) for name in _SCORE_FIELDS}
+            depth = len(tables["head_scores"])  # the extent every per-layer table shares
+            for name in ("neuron_scores", "layer_scores_ppl", "layer_scores_bi"):
+                if tables[name] is not None and len(tables[name]) != depth:
+                    raise ValueError(f"{name} has {len(tables[name])} layers, head_scores {depth}")
             blocks = [block(e) for e in d.get("block_bi", [])]
             if len(dict(blocks)) < len(blocks):
                 raise ValueError("block_bi repeats a (start, length) pair")
             return cls(
-                **{name: scores(name) for name in _SCORE_FIELDS},
+                **tables,
                 block_bi_scores=dict(blocks),
                 agg=AggregationSpec.from_dict(d["aggregation"]),
                 calibration_checksum=checksum,

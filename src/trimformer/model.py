@@ -191,17 +191,11 @@ def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> Model:
 
 
 def _attention(model: Model, x: Tensor, layer: int, emit):
-    cfg = model.config
     b, s, _ = x.shape
-    h, g, dh = cfg.num_heads, cfg.num_query_groups, cfg.d_head
-
-    def project(w: Tensor, n_heads: int, rotate: bool) -> Tensor:
-        y = ad.reshape(ad.linear(x, w), (b, s, n_heads, dh))
-        return ad.rope(y, *model.rope_tables(s, n_heads)) if rotate else y
-
-    q = project(model.layer_param(layer, "attn.wq"), h, True)
-    k = project(model.layer_param(layer, "attn.wk"), g, True)
-    v = project(model.layer_param(layer, "attn.wv"), g, False)
+    h, g, dh = model.config.num_heads, model.config.num_query_groups, model.config.d_head
+    q = ad.rope(ad.linear(x, model.layer_param(layer, "attn.wq")), *model.rope_tables(s, h))
+    k = ad.rope(ad.linear(x, model.layer_param(layer, "attn.wk")), *model.rope_tables(s, g))
+    v = ad.reshape(ad.linear(x, model.layer_param(layer, "attn.wv")), (b, s, g, dh))
     emit("qkv", layer, (q, k, v))
     attn = ad.causal_attention(q, k, v)
     emit("attn", layer, attn)

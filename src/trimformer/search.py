@@ -264,8 +264,8 @@ def rank_candidates(
 
     Candidates are processed in label order with a shared seed, so the
     ranking does not depend on the incoming list order. Each run is
-    evaluated every tenth of its steps (every step below ten) and at its
-    last.
+    evaluated every ``max(1, retrain_steps // 10)`` steps (every step below
+    twenty) and at its last.
     """
     if retrain_steps < 1:
         raise SearchError("retrain_steps must be >= 1")

@@ -576,6 +576,28 @@ def test_report_checksum_and_block_keys_are_checked(edit):
         ImportanceReport.from_json(json.dumps(d))
 
 
+def test_report_block_must_end_within_the_report_depth():
+    # The report's depth is the extent of head_scores; a block past it is one
+    # compute_importance_report refuses to score.
+    text = compute_importance_report(small_model(num_layers=3), toks(2, 6),
+                                     blocks=[(1, 2)]).to_json()
+    assert ImportanceReport.from_json(text).block_bi_scores.keys() == {(1, 2)}
+    d = json.loads(text)
+    d["block_bi"].append({"start": 7, "length": 5, "score": 0.5})
+    with pytest.raises(DataError, match="inside the report's 3 layers"):
+        ImportanceReport.from_json(json.dumps(d))
+
+
+@pytest.mark.parametrize("field", ["neuron_scores", "layer_scores_ppl", "layer_scores_bi"])
+def test_report_per_layer_tables_share_one_depth(field):
+    text = compute_importance_report(small_model(num_layers=3), toks(2, 6),
+                                     include_bi=True).to_json()
+    d = json.loads(text)
+    d[field] = d[field][:-1]
+    with pytest.raises(DataError, match=f"{field} has 2 layers, head_scores 3"):
+        ImportanceReport.from_json(json.dumps(d))
+
+
 def test_report_from_a_list_calibration_set_equals_the_array():
     # The report chunks the calibration set as one token array, whatever
     # its container.

@@ -305,17 +305,20 @@ def test_toy_lm_loss_node_count(toy_config):
     m = build_model(toy_config, seed=0)
     with ad.Tape() as tape:
         lm_loss(m, np.zeros((2, 8), dtype=int))
-    assert len(tape.nodes) == 72
+    assert len(tape.nodes) == 64
 
 
 def test_taped_forward_records_no_transpose(toy_config):
-    # Attention takes q, k and v as projected, [B, S, heads, d_head], and
-    # returns that layout: the forward's graph holds no layout node.
+    # Attention takes q, k and v per head, [B, S, heads, d_head], and returns
+    # that layout; rope views q and k per head itself. The forward's graph
+    # holds no transpose, and per block one reshape for v and one for the
+    # attention output.
     m = build_model(toy_config, seed=0)
     with ad.Tape() as tape:
         forward(m, np.zeros((2, 8), dtype=int), tap=keep_all)
     ops = [node.fn.__qualname__.split(".")[0] for node in tape.nodes]
-    assert ops.count("causal_attention") == toy_config.num_layers
+    assert ops.count("causal_attention") == ops.count("rope") / 2 == toy_config.num_layers
+    assert ops.count("reshape") == 2 * toy_config.num_layers
     assert "transpose" not in ops
 
 
@@ -346,21 +349,21 @@ def test_tape_keeps_one_hidden_width_array_per_mlp_block():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("heads,groups", [(4, 4), (8, 2)])
 def test_rope_on_the_projection_layout_is_bitwise_the_concat_form(dtype, heads, groups):
-    # The forward rotates the [B, S, heads, d_head] projection with tables
-    # tiled per head and sin's sign folded in; values and gradients equal the
-    # head-major negate-and-concatenate form, because (-a)·b == a·(-b).
+    # The forward rotates the [B, S, heads·d_head] projection per head with
+    # tables tiled per head and sin's sign folded in; values and gradients
+    # equal the head-major negate-and-concatenate form, because (-a)·b == a·(-b).
     m = build_model(small_config(num_heads=heads, num_query_groups=groups, d_head=8,
                                  max_seq_len=32), seed=0, dtype=dtype)
     rng = np.random.default_rng(5)
     for n in (heads, groups):
-        x = ad.Tensor(rng.normal(size=(3, 32, n, 8)).astype(dtype), requires_grad=True)
+        x = ad.Tensor(rng.normal(size=(3, 32, n * 8)).astype(dtype), requires_grad=True)
         g = rng.normal(size=(3, 32, n, 8)).astype(dtype)
         with ad.Tape():
             out = ad.rope(x, *m.rope_tables(32, n))
             loss = ad.tsum(ad.mul(out, ad.Tensor(g)))  # out's gradient is g exactly
         ad.backward(loss)
-        want_out, want_grad = oracle.concat_rope(x.data.transpose(0, 2, 1, 3),
-                                                 g.transpose(0, 2, 1, 3))
-        assert out.data.dtype == x.grad.dtype == dtype
+        head_major = x.data.reshape(3, 32, n, 8).transpose(0, 2, 1, 3)
+        want_out, want_grad = oracle.concat_rope(head_major, g.transpose(0, 2, 1, 3))
+        assert out.data.dtype == x.grad.dtype == dtype and x.grad.shape == x.shape
         assert out.data.transpose(0, 2, 1, 3).tobytes() == want_out.tobytes()
-        assert x.grad.transpose(0, 2, 1, 3).tobytes() == want_grad.tobytes()
+        assert x.grad.reshape(3, 32, n, 8).transpose(0, 2, 1, 3).tobytes() == want_grad.tobytes()

@@ -233,3 +233,22 @@ def test_rank_candidates_retrains_each_candidate_as_distill_would(corpus):
         _, metrics = distill_loop(teacher, apply_candidate(teacher, target, report), corpus,
                                   distill_cfg, steps, eval_data=eval_tokens, eval_every=1, **loop)
         assert cand.eval_trajectory == [(m["step"], m["eval_loss"]) for m in metrics]
+
+
+@pytest.mark.parametrize("steps,evaluated", [
+    (5, list(range(5))),
+    (12, list(range(12))),
+    (25, [*range(1, 24, 2), 24]),
+])
+def test_rank_candidates_evaluates_every_tenth_step_and_the_last(corpus, steps, evaluated):
+    # max(1, steps // 10) is 1 for every count below twenty.
+    cfg = ModelConfig(2, 16, 2, 1, 8, 32, 257, max_seq_len=16)
+    teacher = build_model(cfg, seed=0)
+    report = compute_importance_report(teacher, np.random.default_rng(0).integers(0, 257, (2, 8)))
+    space = SearchSpace(layer_range=(2, 2), head_choices=(2,), mlp_expansion_factors=(2.0,),
+                        embedding_choices=(16,), d_head=8, vocab_size=257, num_query_groups=1)
+    candidates = [Candidate(cfg, *count_params(cfg), "self")]
+    ranked = rank_candidates(teacher, CandidateSet(space, 1e5, 0.5, "total", candidates), steps,
+                             DistillConfig(), np.zeros((2, 8), dtype=int), corpus, report,
+                             batch_size=2, seq_len=8)
+    assert [step for step, _ in ranked.candidates[0].eval_trajectory] == evaluated

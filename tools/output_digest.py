@@ -16,17 +16,24 @@ sha256 digests of the outputs.
   directory's path replaced by ``<workdir>``.
 
 The workloads and the package are imported from the checkout this script
-sits in. To compare two revisions, export each (``git archive``), copy this
-script into both, run it in each under the same environment and diff the
-lines.
+sits in. ``--against DIR`` compares two revisions: it runs the digest, each
+in a fresh interpreter under this process's environment, on this checkout
+and on DIR's ``src/`` and ``bench/`` (for example a ``git archive`` export
+of the parent), prints each pair of lines that differ and exits 1 on any
+difference (0, printing nothing, when all agree):
+
+    mkdir ../parent && git archive HEAD~1 | tar -x -C ../parent
+    python3 tools/output_digest.py --seed 1 --against ../parent
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -61,24 +68,52 @@ def digest(workload, output, workdir: str) -> dict:
     return {"files": files, "commands": sha256(lines.replace(workdir, "<workdir>").encode())}
 
 
+def print_digests(root, seed: int, size: str) -> None:
+    """Print one digest line per workload of the checkout at ``root``."""
+    sys.path[:0] = [str(Path(root) / "src"), str(Path(root) / "bench")]
+    import workloads
+
+    for name in ORDER:
+        workload = workloads.WORKLOADS[name](tiny=size == "tiny")
+        with tempfile.TemporaryDirectory() as workdir:
+            workload.setup(seed, workdir)
+            output = workload.run()
+            line = {"workload": name, "seed": seed, "size": size,
+                    "eval_loss": float(workload.eval_loss(output)).hex(),
+                    **digest(workload, output, workdir)}
+        print(json.dumps(line), flush=True)
+
+
+def digest_lines(root, seed: int, size: str) -> list[str]:
+    """The lines :func:`print_digests` prints for ``root``, from a fresh
+    interpreter, so two checkouts never share an imported module."""
+    code = ("import runpy, sys; root, seed, size = sys.argv[2:]; "
+            "runpy.run_path(sys.argv[1])['print_digests'](root, int(seed), size)")
+    run = subprocess.run([sys.executable, "-c", code, __file__, str(root), str(seed), size],
+                         stdout=subprocess.PIPE, text=True, check=True)
+    return run.stdout.splitlines()
+
+
+def differing(ours: list[str], theirs: list[str]) -> list[tuple[str, str]]:
+    """The pairs of lines at one position that differ; a missing line is ``""``."""
+    return [(a, b) for a, b in itertools.zip_longest(ours, theirs, fillvalue="") if a != b]
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--size", choices=("full", "tiny"), default="full")
+    p.add_argument("--against", type=Path, metavar="DIR",
+                   help="checkout whose src/ and bench/ to compare this one's lines with")
     args = p.parse_args(argv)
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
-    import workloads
-
-    for name in ORDER:
-        workload = workloads.WORKLOADS[name](tiny=args.size == "tiny")
-        with tempfile.TemporaryDirectory() as workdir:
-            workload.setup(args.seed, workdir)
-            output = workload.run()
-            line = {"workload": name, "seed": args.seed, "size": args.size,
-                    "eval_loss": float(workload.eval_loss(output)).hex(),
-                    **digest(workload, output, workdir)}
-        print(json.dumps(line), flush=True)
-    return 0
+    if args.against is None:
+        print_digests(ROOT, args.seed, args.size)
+        return 0
+    pairs = differing(digest_lines(ROOT, args.seed, args.size),
+                      digest_lines(args.against, args.seed, args.size))
+    for ours, theirs in pairs:
+        print(f"this: {ours}\n{args.against}: {theirs}")
+    return 1 if pairs else 0
 
 
 if __name__ == "__main__":
