@@ -622,14 +622,14 @@ def _swap_halves(x: np.ndarray) -> np.ndarray:
 def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     """Rotary transform ``x·cos + swap(x)·sin``, swapping each head's halves,
     of a ``[B, S, heads·d]`` projection as :func:`linear` returns it, into
-    ``[B, S, heads, d]``. ``cos``/``sin`` are ``[S, heads, d]``, with the
-    rotation's sign folded into sin's first half (:meth:`Model.rope_tables`).
+    ``[B, S, heads, d]``. ``cos``/``sin`` are one ``[S, 1, d]`` pair for every head,
+    with the rotation's sign folded into sin's first half (:meth:`Model.rope_tables`).
     The backward is the map's transpose, ``g·cos + swap(g·sin)``, in x's shape.
     """
-    (s, heads, d), shape = cos.shape, x.shape
-    if shape != shape[:1] + (s, heads * d) or sin.shape != cos.shape:
+    shape, d = x.shape, cos.shape[-1]
+    if len(shape) != 3 or cos.shape != (shape[1], 1, d) or sin.shape != cos.shape or shape[2] % d:
         raise ShapeError(f"rope of {shape} by tables {cos.shape} and {sin.shape}")
-    xh = x.data.reshape(-1, s, heads, d)
+    xh = x.data.reshape(shape[:2] + (shape[2] // d, d))
     out = _swap_halves(xh)
     out *= sin
     out += xh * cos

@@ -422,6 +422,12 @@ def distill_loop(
     check_train_args(steps, batch_size, seq_len, lr_max, lr_min, eval_every)
     if teacher is None and cfg.needs_teacher:
         raise ConfigError("logit and intermediate losses need a teacher")
+    if {"o", "i", "att"} & set(cfg.is_components):
+        depths = (teacher.config.num_layers, student.config.num_layers)
+        for pair in cfg.layer_map:
+            if pair[0] >= depths[0] or pair[1] >= depths[1]:
+                raise ConfigError(f"layer_map pair {list(pair)} is out of range for a "
+                                  f"{depths[0]}-block teacher and a {depths[1]}-block student")
     projection = None
     trainable = dict(student.params)
     if cfg.is_components:
@@ -430,7 +436,7 @@ def distill_loop(
     state = TrainState()
     rng = np.random.default_rng(seed)
     metrics: list[dict] = []
-    sink = open(metrics_path, "w", encoding="utf-8") if metrics_path else None
+    sink = None  # opened at the first record, so a failed first step leaves no file
     for p in trainable.values():
         p.grad = None
     try:
@@ -461,13 +467,16 @@ def distill_loop(
             ):
                 entry["eval_loss"] = lm_loss(student, eval_data).item()
             metrics.append(entry)
-            if sink:
+            if metrics_path:
+                sink = sink or open(metrics_path, "w", encoding="utf-8")
                 sink.write(json.dumps(entry) + "\n")
     finally:
         for p in trainable.values():
             p.grad = None
         if sink:
             sink.close()
+    if metrics_path and not sink:  # zero steps: an empty file
+        open(metrics_path, "w", encoding="utf-8").close()
     return student, metrics
 
 

@@ -170,7 +170,7 @@ class ImportanceReport:
                 agg=AggregationSpec.from_dict(d["aggregation"]),
                 calibration_checksum=checksum,
             )
-        except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as e:
+        except (ValueError, KeyError, TypeError, AttributeError, OverflowError, ConfigError) as e:
             raise DataError(f"malformed importance report: {e!r}") from e
 
     def save(self, path: str) -> None:

@@ -131,20 +131,18 @@ class Model:
         params = {k: Tensor(v.data.copy(), requires_grad=True) for k, v in self.params.items()}
         return Model(self.config, params)
 
-    def rope_tables(self, seq_len: int, heads: int):
-        """Rotary ``(cos, sin)`` tables for :func:`autodiff.rope`, tiled to
-        ``[seq_len, heads, d_head]``; sin's first half is negated."""
-        key = (seq_len, heads)
-        if key not in self._rope_cache:
+    def rope_tables(self, seq_len: int):
+        """Rotary ``(cos, sin)`` tables for :func:`autodiff.rope`, ``[seq_len,
+        1, d_head]`` for every head; sin's first half is negated."""
+        if seq_len not in self._rope_cache:
             dh = self.config.d_head
             inv_freq = ROPE_BASE ** (-np.arange(dh // 2) * 2.0 / dh)
             angles = np.outer(np.arange(seq_len), inv_freq)[:, None, :]
             cos, sin = np.cos(angles), np.sin(angles)
-            self._rope_cache[key] = tuple(
-                np.repeat(np.concatenate(t, axis=-1).astype(self.dtype), heads, axis=1)
-                for t in ((cos, cos), (-sin, sin))
+            self._rope_cache[seq_len] = tuple(
+                np.concatenate(t, axis=-1).astype(self.dtype) for t in ((cos, cos), (-sin, sin))
             )
-        return self._rope_cache[key]
+        return self._rope_cache[seq_len]
 
 
 def _layer_param_shapes(config: ModelConfig) -> list[tuple[str, tuple]]:
@@ -193,8 +191,9 @@ def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> Model:
 def _attention(model: Model, x: Tensor, layer: int, emit):
     b, s, _ = x.shape
     h, g, dh = model.config.num_heads, model.config.num_query_groups, model.config.d_head
-    q = ad.rope(ad.linear(x, model.layer_param(layer, "attn.wq")), *model.rope_tables(s, h))
-    k = ad.rope(ad.linear(x, model.layer_param(layer, "attn.wk")), *model.rope_tables(s, g))
+    tables = model.rope_tables(s)
+    q = ad.rope(ad.linear(x, model.layer_param(layer, "attn.wq")), *tables)
+    k = ad.rope(ad.linear(x, model.layer_param(layer, "attn.wk")), *tables)
     v = ad.reshape(ad.linear(x, model.layer_param(layer, "attn.wv")), (b, s, g, dh))
     emit("qkv", layer, (q, k, v))
     attn = ad.causal_attention(q, k, v)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .checkpoint import write_atomic
 from .distill import DistillConfig, distill_loop, for_depths
-from .errors import DataError, SearchError
+from .errors import ConfigError, DataError, SearchError
 from .importance import ImportanceReport
 from .model import Model, ModelConfig, _is_finite, _is_int, _is_number, count_params
 from .pruning import apply_candidate, resolve_query_groups
@@ -175,7 +175,7 @@ class CandidateSet:
                 raise ValueError(f"assumptions {a!r} contradict the space and "
                                  f"enumeration rules, which give {want!r}")
             return result
-        except (ValueError, KeyError, TypeError, OverflowError, SearchError) as e:
+        except (ValueError, KeyError, TypeError, OverflowError, SearchError, ConfigError) as e:
             raise DataError(f"malformed candidate manifest: {e!r}") from e
 
     def save(self, path: str) -> None:

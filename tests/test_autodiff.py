@@ -547,8 +547,8 @@ def test_squared_relu_matmul_is_bitwise_the_two_step_chain(dtype):
 def test_fd_gather_logsumexp_rope():
     rng = np.random.default_rng(7)
     w = t64(rng.normal(size=(2, 4, 3 * 8)), requires_grad=True)
-    cos = np.cos(rng.normal(size=(4, 3, 8)))
-    sin = np.sin(rng.normal(size=(4, 3, 8)))
+    cos = np.cos(rng.normal(size=(4, 1, 8)))
+    sin = np.sin(rng.normal(size=(4, 1, 8)))
     idx = np.tile(np.array([1, 5, 6]), (2, 4, 3, 1))
 
     def compute():
@@ -563,20 +563,39 @@ def test_fd_gather_logsumexp_rope():
 
 
 def test_rope_takes_only_the_projection_layout():
-    # x is [B, S, heads·d] as linear returns it; the [S, heads, d] tables fix
-    # S, heads and d. The output is per head, the gradient in x's own shape.
-    cos = sin = np.ones((4, 3, 8))
+    # x is [B, S, heads·d] as linear returns it; the [S, 1, d] tables fix S
+    # and d, and x's width the head count. The output is per head, the
+    # gradient in x's own shape.
+    cos = sin = np.ones((4, 1, 8))
     with Tape():
         x = t64(np.ones((2, 4, 24)), requires_grad=True)
         out = ad.rope(x, cos, sin)
         loss = ad.tsum(out)
     ad.backward(loss)
     assert out.shape == (2, 4, 3, 8) and x.grad.shape == (2, 4, 24)
-    for shape in ((2, 4, 3, 8), (2, 5, 24), (2, 4, 16), (4, 24), ()):
+    for shape in ((2, 4, 3, 8), (2, 5, 24), (4, 24), ()):
         with pytest.raises(ShapeError):
             ad.rope(t64(np.ones(shape)), cos, sin)
-    with pytest.raises(ShapeError):
-        ad.rope(t64(np.ones((2, 4, 24))), cos, np.ones((4, 1, 8)))
+
+
+def test_rope_refuses_tables_tiled_per_head():
+    # The tables carry a unit head axis: tables tiled to [S, heads, d] are
+    # refused even where heads matches x's width, as a pair or as either
+    # table, and so are [S, d] tables without that axis.
+    x = t64(np.ones((2, 4, 24)))
+    tiled, shared = np.ones((4, 3, 8)), np.ones((4, 1, 8))
+    for cos, sin in ((tiled, tiled), (tiled, shared), (shared, tiled), (shared[:, 0], shared[:, 0])):
+        with pytest.raises(ShapeError):
+            ad.rope(x, cos, sin)
+
+
+def test_rope_reads_the_head_count_from_a_multiple_of_d_head():
+    cos = sin = np.ones((4, 1, 8))
+    for width in (8, 16, 24):
+        assert ad.rope(t64(np.ones((2, 4, width))), cos, sin).shape == (2, 4, width // 8, 8)
+    for width in (4, 12, 20, 36):
+        with pytest.raises(ShapeError):
+            ad.rope(t64(np.ones((2, 4, width))), cos, sin)
 
 
 def test_fd_repeat_div_pow():

@@ -113,6 +113,9 @@ def workdir(tmp_path_factory):
     report["neuron_scores"][0][0] = 0.0
     report["block_bi"] = [{"start": "zero", "length": 1, "score": "high"}]
     (d / "string_block_bi.json").write_text(json.dumps(report))
+    report["block_bi"] = []
+    report["aggregation"]["batch_fn"] = "bogus"
+    (d / "bogus_aggregation.json").write_text(json.dumps(report))
     (d / "narrow_target.json").write_text(json.dumps({**MODEL, "d_hidden": 16}))
     space = SearchSpace.from_dict(files["space.json"])
     manifest = json.loads(enumerate_candidates(space, 10000, 0.5).to_json())
@@ -304,6 +307,11 @@ CASES = {
     ),
     "report_block_bi_strings": (
         "prune --ckpt {d}/model.ckpt --report {d}/string_block_bi.json "
+        "--target {d}/narrow_target.json --out {d}/o.ckpt",
+        "DataError",
+    ),
+    "report_unknown_aggregation": (
+        "prune --ckpt {d}/model.ckpt --report {d}/bogus_aggregation.json "
         "--target {d}/narrow_target.json --out {d}/o.ckpt",
         "DataError",
     ),
@@ -591,4 +599,31 @@ def test_distill_config_without_a_layer_map_fails_before_any_output(workdir, tmp
     (line,) = err.splitlines()
     assert json.loads(line)["error"] == "ConfigError"
     assert "layer_map" in json.loads(line)["message"]
+    assert not (tmp_path / "s.ckpt").exists() and not (tmp_path / "m.jsonl").exists()
+
+
+@pytest.mark.parametrize("command, edit, error", [
+    ("distill", {"student": {"vocab_size": 300}}, "ShapeError"),
+    ("distill", {"flags": "--seq-len 32"}, "DataError"),
+    ("train", {"flags": "--seq-len 32"}, "DataError"),
+    ("distill", {"distill": {"is_components": ["o"], "layer_map": [[9, 9]]}}, "ConfigError"),
+])
+def test_a_run_failing_at_its_first_step_leaves_no_files(
+        command, edit, error, workdir, tmp_path, capsys):
+    """Neither --metrics nor --out is written when step 0 never completes:
+    a student of another vocabulary, a sequence past max_seq_len (16), or a
+    layer map past both models' 2 blocks."""
+    save_checkpoint(build_model(ModelConfig(**{**MODEL, **edit.get("student", {})}), seed=1),
+                    str(tmp_path / "student.ckpt"))
+    (tmp_path / "exp.json").write_text(json.dumps(
+        {"model": MODEL, "distill": edit.get("distill", {"logit_loss": "kld"})}))
+    models = (f"--teacher {workdir}/model.ckpt --student {tmp_path}/student.ckpt"
+              if command == "distill" else "")
+    argv = (f"{command} {models} --config {tmp_path}/exp.json --data {workdir}/corpus.txt "
+            f"--out {tmp_path}/s.ckpt --metrics {tmp_path}/m.jsonl --steps 2 --batch-size 2 "
+            + edit.get("flags", "--seq-len 8"))
+    assert cli.main(argv.split()) == 1
+    out, err = capsys.readouterr()
+    (line,) = err.splitlines()
+    assert out == "" and json.loads(line)["error"] == error
     assert not (tmp_path / "s.ckpt").exists() and not (tmp_path / "m.jsonl").exists()

@@ -660,6 +660,35 @@ def test_loop_without_teacher_rejects_teacher_terms(corpus):
             distill_loop(None, student, corpus, cfg, steps=1)
 
 
+@pytest.mark.parametrize("components", [("o",), ("i",), ("emb", "att")])
+def test_loop_rejects_a_layer_map_past_either_depth(corpus, components, monkeypatch):
+    # Refused before the teacher's first forward, naming the pair and both depths.
+    teacher = build_model(small_config(vocab_size=257, max_seq_len=64, num_layers=3), seed=9)
+    student = build_model(small_config(vocab_size=257, max_seq_len=64), seed=10)
+    monkeypatch.setattr(distill, "forward", None)
+    for pair in ((3, 0), (0, 2), (9, 9)):
+        cfg = DistillConfig(is_components=components, layer_map=(pair,))
+        with pytest.raises(ConfigError, match=rf"pair \[{pair[0]}, {pair[1]}\] .* "
+                                              "3-block teacher and a 2-block student"):
+            distill_loop(teacher, student, corpus, cfg, steps=1)
+    # emb reads no block, so its map is not read either.
+    monkeypatch.undo()
+    cfg = DistillConfig(is_components=("emb",), layer_map=((9, 9),))
+    assert len(distill_loop(teacher, student, corpus, cfg, steps=1, seq_len=8)[1]) == 1
+
+
+def test_metrics_file_is_opened_at_the_first_record(corpus, tmp_path):
+    teacher = build_model(small_config(vocab_size=257, max_seq_len=64), seed=11)
+    other_vocab = build_model(small_config(vocab_size=300, max_seq_len=64), seed=12)
+    path = tmp_path / "m.jsonl"
+    with pytest.raises(ShapeError):  # fails inside step 0
+        distill_loop(teacher, other_vocab, corpus, DistillConfig(), steps=2,
+                     metrics_path=str(path))
+    assert not path.exists()
+    distill_loop(teacher, teacher.copy(), corpus, DistillConfig(), steps=0, metrics_path=str(path))
+    assert path.read_text() == ""  # a zero-step run still writes its (empty) file
+
+
 def test_metrics_bit_identical_across_runs(corpus):
     runs = []
     for _ in range(2):

@@ -576,6 +576,16 @@ def test_report_checksum_and_block_keys_are_checked(edit):
         ImportanceReport.from_json(json.dumps(d))
 
 
+@pytest.mark.parametrize("key", ["batch_fn", "seq_fn"])
+@pytest.mark.parametrize("bad", ["bogus", 5, None])
+def test_report_aggregation_must_be_a_known_reduction(key, bad):
+    text = compute_importance_report(small_model(), toks(2, 6)).to_json()
+    d = json.loads(text)
+    d["aggregation"][key] = bad
+    with pytest.raises(DataError, match="malformed importance report"):
+        ImportanceReport.from_json(json.dumps(d))
+
+
 def test_report_block_must_end_within_the_report_depth():
     # The report's depth is the extent of head_scores; a block past it is one
     # compute_importance_report refuses to score.

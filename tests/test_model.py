@@ -346,12 +346,24 @@ def test_tape_keeps_one_hidden_width_array_per_mlp_block():
     assert cfg.num_layers * hidden <= kept < 1.5 * cfg.num_layers * hidden, kept
 
 
+def test_gqa_forward_caches_one_rope_pair_per_length():
+    # Queries (8 heads) and keys (2 groups) rotate by the same tables: one
+    # [S, 1, d_head] pair per sequence length, with no head axis.
+    m = build_model(small_config(num_heads=8, num_query_groups=2, d_head=8,
+                                 max_seq_len=32), seed=0)
+    forward(m, np.zeros((2, 12), dtype=int))
+    assert list(m._rope_cache) == [12]
+    cos, sin = m.rope_tables(12)
+    assert cos.shape == sin.shape == (12, 1, 8) and cos.dtype == sin.dtype == m.dtype
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("heads,groups", [(4, 4), (8, 2)])
 def test_rope_on_the_projection_layout_is_bitwise_the_concat_form(dtype, heads, groups):
     # The forward rotates the [B, S, heads·d_head] projection per head with
-    # tables tiled per head and sin's sign folded in; values and gradients
-    # equal the head-major negate-and-concatenate form, because (-a)·b == a·(-b).
+    # one [S, 1, d_head] pair broadcast over the heads and sin's sign folded
+    # in; values and gradients equal the head-major negate-and-concatenate
+    # form, because (-a)·b == a·(-b).
     m = build_model(small_config(num_heads=heads, num_query_groups=groups, d_head=8,
                                  max_seq_len=32), seed=0, dtype=dtype)
     rng = np.random.default_rng(5)
@@ -359,7 +371,7 @@ def test_rope_on_the_projection_layout_is_bitwise_the_concat_form(dtype, heads, 
         x = ad.Tensor(rng.normal(size=(3, 32, n * 8)).astype(dtype), requires_grad=True)
         g = rng.normal(size=(3, 32, n, 8)).astype(dtype)
         with ad.Tape():
-            out = ad.rope(x, *m.rope_tables(32, n))
+            out = ad.rope(x, *m.rope_tables(32))
             loss = ad.tsum(ad.mul(out, ad.Tensor(g)))  # out's gradient is g exactly
         ad.backward(loss)
         head_major = x.data.reshape(3, 32, n, 8).transpose(0, 2, 1, 3)

@@ -177,6 +177,17 @@ def test_manifest_candidates_are_checked(key, value):
         CandidateSet.from_json(json.dumps(manifest))
 
 
+@pytest.mark.parametrize("edit", [{"d_head": 3}, {"num_heads": 3}, {"num_layers": -1}])
+def test_manifest_candidate_configs_fail_as_malformed_data(edit):
+    # A config ModelConfig refuses is a malformed manifest, not a config error.
+    space = SearchSpace((1, 2), (2, 4), (8.0,), (8, 16), d_head=4, vocab_size=257,
+                        num_query_groups=2)
+    manifest = json.loads(enumerate_candidates(space, 6500, 0.2).to_json())
+    manifest["candidates"][0]["config"].update(edit)
+    with pytest.raises(DataError, match="malformed candidate manifest"):
+        CandidateSet.from_json(json.dumps(manifest))
+
+
 def test_rank_candidates_ignores_input_order(corpus):
     cfg = ModelConfig(3, 32, 4, 2, 8, 128, 257, max_seq_len=32)
     teacher = build_model(cfg, seed=0)
